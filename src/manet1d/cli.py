@@ -18,7 +18,7 @@ import sys
 
 from .configfile import parse_config_file
 from .errors import ConfigError, EnumerationLimitError
-from .grid import Boundary, configuration_count, enumerate_routes
+from .grid import configuration_count, enumerate_routes
 from .mdp import build_mdp, solve_avg_reward
 from .mobility import node_kernel, stationary_node_distribution
 from .policies import expected_raw_throughput
@@ -38,17 +38,6 @@ def _params_line(cfg: SimConfig) -> str:
         f"p_l={_sig(p.p_l)} p_r={_sig(p.p_r)} boundary={p.boundary.value} "
         f"phi={_sig(p.phi)}"
     )
-
-
-def _warn_asymmetric_stuck(cfg: SimConfig) -> None:
-    p = cfg.params
-    if p.boundary is Boundary.STUCK and p.p_l != p.p_r:
-        print(
-            "warning: stuck-at-boundary with p_l != p_r drifts nodes toward "
-            "one end; the steady state is not uniform and the closed-form "
-            "expected raw throughput does not apply",
-            file=sys.stderr,
-        )
 
 
 def _schedule_str(schedule) -> str:
@@ -228,7 +217,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config_file(args.config)
-        _warn_asymmetric_stuck(cfg)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

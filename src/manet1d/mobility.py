@@ -126,34 +126,50 @@ def _stationary_dense(P: np.ndarray) -> np.ndarray:
 
 
 def stationary_node_distribution(kernel: NodeKernel) -> np.ndarray:
-    """Unique stationary distribution of the node kernel. Raises
-    ReducibleChainError when the kernel is not irreducible (for example
-    p_l = p_r = 0)."""
+    """Unique stationary distribution of the node kernel, zero off its
+    single closed class (a one-way stuck walk piles up at one end).
+    Raises ReducibleChainError when there are several closed classes
+    (for example p_l = p_r = 0), so that no law is unique."""
     P = kernel.matrix
     if P.shape[0] == 1:
         return np.array([1.0])
     _, closed = _closed_classes(P)
-    if len(closed) != 1 or len(closed[0]) != P.shape[0]:
+    if len(closed) != 1:
         raise ReducibleChainError(
-            f"node kernel is not irreducible ({len(closed)} closed classes)",
-            classes=closed,
+            f"node kernel has {len(closed)} closed classes", classes=closed
         )
-    return _stationary_dense(P)
+    pi = np.zeros(P.shape[0])
+    pi[closed[0]] = _stationary_dense(P[np.ix_(closed[0], closed[0])])
+    return pi
+
+
+def config_stationary_law(counts: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """Steady-state probability of each occupancy vector (one per row of
+    `counts`). Nodes move independently, so the occupancy law is the
+    multinomial with the node's stationary law pi:
+    N! / (n_1! ... n_K!) * pi_1^n_1 ... pi_K^n_K.
+    Raises ReducibleChainError when the node law is not unique."""
+    pi = stationary_node_distribution(node_kernel(params))
+    counts = np.asarray(counts)
+    log_fact = np.array([math.lgamma(n + 1) for n in range(params.N + 1)])
+    on = pi > 0  # the node kernel's closed class
+    log_p = (
+        log_fact[params.N]
+        - log_fact[counts].sum(axis=1)
+        + counts[:, on] @ np.log(pi[on])
+    )
+    return np.where(counts[:, ~on].any(axis=1), 0.0, np.exp(log_p))
 
 
 def config_stationary_prob(config: Configuration, params: NetworkParams) -> float:
-    """Steady-state probability of an occupancy vector when every node
-    is independently uniform over the K positions:
-    N! / (n_1! ... n_K!) * K^-N."""
+    """Steady-state probability of one occupancy vector; see
+    config_stationary_law."""
     counts = config.counts
     if len(counts) != params.K:
         raise ValueError(f"configuration has {len(counts)} positions, K={params.K}")
     if sum(counts) != params.N:
         raise ValueError(f"configuration holds {sum(counts)} nodes, N={params.N}")
-    coeff = math.factorial(params.N)
-    for c in counts:
-        coeff //= math.factorial(c)
-    return float(coeff) / float(params.K) ** params.N
+    return float(config_stationary_law(np.array([counts]), params)[0])
 
 
 @lru_cache(maxsize=8)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import NetworkParams
 from .mdp import Mdp, PolicyEvaluator, build_mdp, state_space
-from .mobility import config_stationary_prob
+from .mobility import config_stationary_law
 
 
 def expected_raw_throughput(params: NetworkParams) -> float:
@@ -26,10 +26,7 @@ def expected_raw_throughput(params: NetworkParams) -> float:
     rate. This is what a discover-every-slot controller would earn
     before discovery overhead."""
     space = state_space(params)
-    probs = np.array(
-        [config_stationary_prob(c, params) for c in space.configs]
-    )
-    return float(probs @ space.best_f)
+    return float(config_stationary_law(space.counts, params) @ space.best_f)
 
 
 @dataclass(frozen=True)

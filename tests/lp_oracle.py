@@ -1,16 +1,24 @@
-"""A small exact simplex solver over rationals.
+"""Second route-throughput oracle for the tests: the exact linear program
+over every maximal independent set of a route's conflict graph.
 
-Solves  max c.x  subject to  A x <= b,  x >= 0  with b >= 0, so the
-all-slack basis is feasible and a single primal phase suffices. Bland's
-rule keeps pivoting deterministic and cycle-free. Problem sizes here are
-a handful of variables and constraints, so exact Fraction arithmetic is
-cheap and removes every tolerance question from tie-breaking.
+The library computes throughput with the interval-graph clique formula;
+this module keeps the general LP it replaced so that the tests can
+compare the two as Fractions.
+
+`solve_lp` solves  max c.x  subject to  A x <= b,  x >= 0  with b >= 0,
+so the all-slack basis is feasible and a single primal phase suffices.
+Bland's rule keeps pivoting deterministic and cycle-free. Problem sizes
+are a handful of variables and constraints, so exact Fraction
+arithmetic is cheap and removes every tolerance question from
+tie-breaking.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from manet1d import NetworkParams, Route, build_conflict_graph, maximal_independent_sets
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -78,3 +86,23 @@ def _pivot(tab: list[list[Fraction]], row: int, col: int) -> None:
         if i != row and r[col] != 0:
             f = r[col]
             tab[i] = [v - f * w for v, w in zip(r, tab[row])]
+
+
+def lp_route_throughput(route: Route, params: NetworkParams) -> Fraction:
+    """Exact LP: maximise f subject to sum(shares) <= 1 and, per link,
+    coverage >= f / rate, over shares of every maximal independent set.
+    Variables are (f, share_0, ..., share_{q-1})."""
+    if route.is_null:
+        return ZERO
+    graph = build_conflict_graph(route, params)
+    sets = maximal_independent_sets(graph)
+    q = len(sets)
+    c = [ONE] + [ZERO] * q
+    A = [[ZERO] + [ONE] * q]  # total time budget
+    b = [ONE]
+    for ell, link in enumerate(graph.links):
+        # f / rate - coverage <= 0
+        A.append([ONE / Fraction(link.rate)] + [-ONE if ell in s else ZERO for s in sets])
+        b.append(ZERO)
+    value, _ = solve_lp(c, A, b)
+    return value

@@ -302,13 +302,16 @@ class TestErrorPaths:
         assert fragment in capsys.readouterr().err
 
     def test_stuck_drift_warning_on_stderr(self, tmp_path, capsys):
+        # a drifting stuck walk is handled by the multinomial occupancy
+        # law with the node's geometric stationary law: no warning, and
+        # E[raw] is the kernel's value, not the uniform law's 0.1406
         path = write_config(
-            tmp_path, "K=2\nN=1\np_l=0.1\np_r=0.3\nphi=0\n"
+            tmp_path, "K=4\nN=3\np_l=0.1\np_r=0.4\nphi=0\n"
         )
         assert main(["analyze", path]) == 0
         captured = capsys.readouterr()
-        assert "drifts nodes toward" in captured.err
-        assert "drifts" not in captured.out
+        assert "E[raw throughput] = 0.0297789538" in captured.out
+        assert captured.err == ""
 
     def test_no_warning_for_wrap_asymmetric(self, tmp_path, capsys):
         path = write_config(

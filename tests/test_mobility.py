@@ -140,6 +140,13 @@ class TestStationaryNodeDistribution:
         )
         assert np.allclose(pi, np.array([1.0, 3.0, 9.0]) / 13.0, atol=1e-12)
 
+    def test_one_way_stuck_walk_piles_up(self):
+        # one closed class, {K}: the law is unique though not irreducible
+        pi = stationary_node_distribution(
+            node_kernel(NetworkParams(K=3, N=1, p_l=0.0, p_r=0.3))
+        )
+        assert np.array_equal(pi, [0.0, 0.0, 1.0])
+
     def test_immobile_raises(self):
         with pytest.raises(ReducibleChainError) as exc:
             stationary_node_distribution(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from manet1d import (
@@ -11,6 +11,7 @@ from manet1d import (
     ThresholdRule,
     best_threshold_search,
     build_mdp,
+    config_kernel,
     expected_raw_throughput,
     route_break_policy,
     rule_threshold,
@@ -37,6 +38,27 @@ class TestExpectedRawThroughput:
 
     def test_no_relays_no_throughput(self):
         assert expected_raw_throughput(NetworkParams(K=2, N=0)) == 0.0
+
+    @given(
+        K=st.integers(1, 4),
+        N=st.integers(1, 4),
+        p_l=st.sampled_from([0.0]) | st.floats(0.05, 0.45),
+        p_r=st.floats(0.05, 0.45),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_config_kernel_stationary_law(self, K, N, p_l, p_r):
+        # drifting stuck walks: the occupancy law is the multinomial with
+        # the node's (geometric) stationary law, not the uniform one; at
+        # p_l = 0 every node piles up at position K
+        assume(abs(p_l - p_r) > 1e-3)
+        params = NetworkParams(K=K, N=N, p_l=p_l, p_r=p_r)
+        P = config_kernel(params).matrix
+        A = P.T - np.eye(len(P))
+        A[-1, :] = 1.0
+        b = np.zeros(len(P))
+        b[-1] = 1.0
+        want = float(np.linalg.solve(A, b) @ state_space(params).best_f)
+        assert abs(expected_raw_throughput(params) - want) <= 1e-12
 
     def test_mobility_does_not_enter(self):
         # the steady state is uniform per node regardless of p_l, p_r

@@ -1,4 +1,5 @@
-"""Conflict graphs, independent sets, and the route-throughput LP."""
+"""Conflict graphs, independent sets, and route throughput against the
+LP oracle and a brute-force grid oracle."""
 
 import itertools
 from fractions import Fraction
@@ -21,9 +22,21 @@ from manet1d import (
     maximal_independent_sets,
     route_throughput,
 )
-from manet1d.simplex import solve_lp
+from manet1d.scheduling import _route_table, _route_throughput_exact
+
+from lp_oracle import lp_route_throughput, solve_lp
 
 P4 = NetworkParams(K=4, N=1)
+
+# (m, rates) settings for the closed-form checks; 0.9, 0.35, 0.2 are not
+# dyadic, so their Fractions have large odd numerators
+RATE_SETTINGS = [
+    (1, (1.0,)),
+    (2, (1.0, 0.5)),
+    (3, (1.0, 0.5, 0.25)),
+    (3, (0.9, 0.35, 0.2)),
+    (4, (1.0, 0.6, 0.3, 0.1)),
+]
 
 
 def dummy_graph(n: int, edges) -> ConflictGraph:
@@ -262,6 +275,46 @@ class TestRouteThroughput:
             grid_best = oracle_throughput(route, params)
             assert f >= grid_best - 1e-12
             assert f - grid_best <= 1 / 60
+
+
+class TestClosedFormAgainstLp:
+    @pytest.mark.parametrize("m, rates", RATE_SETTINGS)
+    def test_equals_lp_as_fractions(self, m, rates):
+        for K in range(1, 9):
+            routes, values, _ = _route_table(K, m, rates)
+            params = NetworkParams(K=K, N=0, m=m, rates=rates)
+            for route, value in zip(routes, values):
+                lp = lp_route_throughput(route, params)
+                assert value == lp, route
+                assert route_throughput(route, params)[0] == float(lp)
+
+    @pytest.mark.parametrize("m, rates", RATE_SETTINGS)
+    def test_circle_schedule_is_optimal_and_maximal(self, m, rates):
+        for K in range(1, 13):
+            params = NetworkParams(K=K, N=0, m=m, rates=rates)
+            for route in enumerate_routes(params):
+                if route.is_null:
+                    continue
+                f, entries = _route_throughput_exact(route, params)
+                graph = build_conflict_graph(route, params)
+                L = len(graph.links)
+                assert all(share > 0 for _, share in entries)
+                assert sum(share for _, share in entries) == 1
+                coverage = [Fraction(0)] * L
+                for links, share in entries:
+                    assert not any(
+                        graph.conflicts(i, j)
+                        for i, j in itertools.combinations(links, 2)
+                    )
+                    assert all(
+                        any(graph.conflicts(k, i) for i in links)
+                        for k in range(L)
+                        if k not in links
+                    )
+                    for i in links:
+                        coverage[i] += share
+                for cov, link in zip(coverage, graph.links):
+                    assert cov * Fraction(link.rate) >= f
 
 
 class TestBestRoute:
