@@ -8,7 +8,9 @@ Subcommands:
   sweep    <config> --phis ... --policies ... [--out F]
 
 Exit codes: 0 success, 1 configuration/policy parse error,
-2 enumeration or size guard tripped.
+2 enumeration or size guard tripped, 3 no unique long-run average (a
+reducible chain: for example frozen nodes, or a policy such as `never`
+that keeps whichever route it starts with).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import sys
 
 from .configfile import parse_config_file
-from .errors import ConfigError, EnumerationLimitError
+from .errors import ConfigError, EnumerationLimitError, ReducibleChainError
 from .grid import configuration_count, enumerate_routes
 from .mdp import build_mdp, solve_avg_reward
 from .mobility import node_kernel, stationary_node_distribution
@@ -224,7 +226,14 @@ def main(argv=None) -> int:
     except EnumerationLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ReducibleChainError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 def main_script() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_script()

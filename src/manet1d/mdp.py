@@ -6,8 +6,15 @@ replacing the held route with that best route) or continue on the held
 route (earning its throughput if its relay positions are all occupied,
 else nothing). The configuration component moves by the exact occupancy
 kernel regardless of the action, so a transition matrix never has to be
-materialised for the optimiser: one dense config-kernel product per
-sweep suffices.
+materialised for the optimiser: one sparse (CSR) config-kernel product
+per sweep suffices.
+
+Exact policy evaluation uses the same structure. The held route only
+ever changes to the configuration's best route, so the distinct best
+routes (the held-route columns) are closed under every policy. The
+closed-class verdict needs the induced chain on those columns only, and
+the stationary law is propagated there matrix-free with the kernel's
+transpose.
 
 Policies are boolean arrays of shape (configs, routes), True = discover.
 """
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, EnumerationLimitError, ReducibleChainError
 from .grid import (
@@ -28,7 +35,12 @@ from .grid import (
     Route,
     enumerate_configurations,
 )
-from .mobility import ConfigKernel, _closed_classes, config_kernel
+from .mobility import (
+    ConfigKernel,
+    closed_classes,
+    config_kernel,
+    config_stationary_law,
+)
 from .scheduling import _route_table, route_supported
 
 DEFAULT_STATE_LIMIT = 200_000
@@ -207,6 +219,12 @@ class MdpSolution:
     span: float
 
 
+def _may_be_periodic(params: NetworkParams) -> bool:
+    """Whether the configuration kernel can be periodic: WRAP with
+    p_t = 0, where every node moves every slot."""
+    return params.boundary is Boundary.WRAP and params.p_t <= 1e-15
+
+
 def solve_avg_reward(
     mdp: Mdp,
     epsilon: float = DEFAULT_EPSILON,
@@ -230,13 +248,13 @@ def solve_avg_reward(
     never mixes); such kernels raise ReducibleChainError immediately.
     """
     space = mdp.space
-    P = mdp.kernel.matrix
+    P = mdp.kernel.csr
     r_disc = mdp.reward_discover
     r_cont = mdp.reward_continue
     br = space.best_route_idx
 
     if space.n_configs > 1:
-        _, closed = _closed_classes(P)
+        closed = mdp.kernel.classes
         if len(closed) != 1:
             parts = []
             for cls in closed:
@@ -251,9 +269,7 @@ def solve_avg_reward(
     # Half-lazy transform TV = (1 - tau) V + tau T0(V): same optimal
     # actions, gain scaled by tau, and the iteration cannot cycle on a
     # periodic kernel (WRAP with p_t = 0 is periodic or a rotation).
-    tau = 1.0
-    if mdp.params.boundary is Boundary.WRAP and mdp.params.p_t <= 1e-15:
-        tau = 0.5
+    tau = 0.5 if _may_be_periodic(mdp.params) else 1.0
 
     C = space.n_configs
     rows = np.arange(C)
@@ -285,109 +301,137 @@ def solve_avg_reward(
     )
 
 
-def _induced_chain(mdp: Mdp, actions: np.ndarray) -> csr_matrix:
-    """Sparse transition matrix of the chain a policy induces. From
-    (config c, route r) the chain moves to (c', next(c, r)) with the
-    config-kernel probability of c -> c', where next is the best route
-    on discovery and r otherwise."""
-    space = mdp.space
-    R = space.n_routes
-    Pc = csr_matrix(mdp.kernel.matrix)
-    next_route = np.where(actions, space.best_route_idx[:, None], np.arange(R)[None, :])
-
-    indptr = [0]
-    indices = []
-    data = []
-    nnz = 0
-    for c in range(space.n_configs):
-        seg = slice(Pc.indptr[c], Pc.indptr[c + 1])
-        cols = Pc.indices[seg].astype(np.int64) * R
-        vals = Pc.data[seg]
-        for r in range(R):
-            indices.append(cols + next_route[c, r])
-            data.append(vals)
-            nnz += len(vals)
-            indptr.append(nnz)
-    n = mdp.n_states
-    return csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-        shape=(n, n),
-    )
+PROPAGATION_TOL = 1e-15
+PROPAGATION_STALL = 1_000
+PROPAGATION_MAX_ITER = 100_000
 
 
-def _closed_classes_sparse(P: csr_matrix) -> list[np.ndarray]:
-    n_comp, labels = csgraph.connected_components(
-        P, directed=True, connection="strong"
-    )
-    rows, cols = P.nonzero()
-    cross = labels[rows] != labels[cols]
-    open_labels = set(labels[rows[cross]].tolist())
-    return [
-        np.flatnonzero(labels == lab)
-        for lab in range(n_comp)
-        if lab not in open_labels
-    ]
+def _held_routes(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The routes a discovery can pick (the distinct best routes, R'),
+    and each configuration's best route as an index into them."""
+    held = np.unique(space.best_route_idx)
+    return held, np.searchsorted(held, space.best_route_idx)
 
 
-DENSE_CLASS_LIMIT = 1500
+def _held_route_chain(P: csr_matrix, disc: np.ndarray, best: np.ndarray) -> csr_matrix:
+    """Pattern of the induced chain on the held-route columns: every
+    stored entry is 1.0, one per transition.
 
-
-def _stationary_on_class(P: csr_matrix, tol: float = 1e-12, max_iter: int = 500_000):
-    """Stationary vector of an irreducible row-stochastic CSR matrix.
-
-    Small chains get a direct dense solve. Larger ones use power
-    iteration on the half-lazy chain (same stationary vector, never
-    periodic), verified against the un-lazied residual.
+    disc is the (C, R') discover table on those columns and best each
+    configuration's best route as a column. State j * C + c moves to
+    (next column) * C + c' for every successor c' of c, so the rows of
+    column j are P's pattern with shifted column indices.
     """
-    n = P.shape[0]
-    if n <= DENSE_CLASS_LIMIT:
-        A = P.toarray().T - np.eye(n)
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-        return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+    C, n_held = disc.shape
+    n = C * n_held
+    itype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    nxt = np.where(disc, best[:, None], np.arange(n_held)[None, :]).astype(itype)
+    deg = np.diff(P.indptr)
+    src = np.repeat(np.arange(C), deg)
+    indices = (nxt[src].T * itype(C) + P.indices.astype(itype)).ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.tile(deg, n_held))]).astype(itype)
+    # float64 data, so the component search need not convert a copy
+    data = np.ones(indices.size)
+    return csr_matrix((data, indices, indptr), shape=(n, n))
 
-    PT = P.T.tocsr()
-    pi = np.full(n, 1.0 / n)
-    for it in range(max_iter):
-        nxt = 0.5 * (pi + PT @ pi)
-        if it % 16 == 0:
-            residual = float(np.abs(PT @ nxt - nxt).sum())
-            if residual < tol:
-                nxt = np.clip(nxt, 0.0, None)
-                return nxt / nxt.sum()
-        pi = nxt
-    raise ConvergenceError(
-        f"stationary distribution did not converge to residual {tol} "
-        f"within {max_iter} iterations"
-    )
+
+def _policy_classes(mdp: Mdp, actions: np.ndarray, held: np.ndarray, best: np.ndarray):
+    """Closed classes of the chain the policy induces, as sorted arrays
+    of flat states c * R + r ordered by their smallest state; and the
+    classes that lie in the held-route columns, numbered j * C + c.
+
+    The held route only ever changes to best_route_idx[c], so the
+    held-route columns form a closed set, and its closed classes are
+    those of the induced chain restricted to it. Any other route r is
+    only ever held from the start; a class there is K x {r} for a closed
+    class K of the configuration chain on which the table never
+    discovers.
+    """
+    space = mdp.space
+    C, R = space.n_configs, space.n_routes
+    P = mdp.kernel.csr
+    held_classes = closed_classes(_held_route_chain(P, actions[:, held], best))
+    classes = [np.sort(cls % C * R + held[cls // C]) for cls in held_classes]
+    others = np.setdiff1d(np.arange(R), held)
+    for K in mdp.kernel.classes:
+        for r in others[~actions[K][:, others].any(axis=0)]:
+            classes.append(K * R + r)
+    classes.sort(key=lambda cls: int(cls[0]))
+    return classes, held_classes
 
 
 def policy_stationary(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
     """(C, R) stationary distribution of the chain the policy induces.
 
     Requires a single closed class; otherwise raises ReducibleChainError
-    naming the classes (transient states simply carry zero mass).
+    naming the classes, ordered by their smallest state index (see
+    _policy_classes for how they are found). Transient states carry
+    exactly zero mass.
+
+    The class lies in the held-route columns, and the configuration
+    marginal of its stationary law is the occupancy law mu
+    (config_stationary_law) whatever the table. So pi is found by
+    propagation on the class, matrix-free: start from mu(c) on
+    (c, best[c]), or on another state of configuration c where that one
+    is not in the class; each step moves the discover mass of every
+    state to its configuration's best route, then applies the
+    configuration kernel's transpose. The marginal stays mu; only the
+    route split converges. When the kernel can be periodic (WRAP with
+    p_t = 0), and after PROPAGATION_STALL steps in any case (a nearly
+    periodic kernel, such as WRAP with a tiny p_t), the step is
+    half-lazy, (x + xA) / 2, which has the same fixed point.
+    Propagation stops when the L1 step falls below PROPAGATION_TOL, so
+    the error is about that step over the chain's spectral gap, and
+    raises ConvergenceError after PROPAGATION_MAX_ITER steps.
     """
     actions = mdp.materialize_policy(actions)
-    P = _induced_chain(mdp, actions)
-    closed = _closed_classes_sparse(P)
-    if len(closed) != 1:
+    space = mdp.space
+    C, R = space.n_configs, space.n_routes
+    held, best = _held_routes(space)
+    classes, held_classes = _policy_classes(mdp, actions, held, best)
+    if len(classes) != 1:
         parts = []
-        for cls in closed:
+        for cls in classes:
             example = mdp.state(int(cls[0]))
             parts.append(f"{len(cls)} states incl. {example}")
         raise ReducibleChainError(
-            f"policy induces {len(closed)} closed classes: " + "; ".join(parts),
-            classes=closed,
+            f"policy induces {len(classes)} closed classes: " + "; ".join(parts),
+            classes=classes,
         )
-    cls = closed[0]
-    sub = P[cls][:, cls]
-    pi_cls = _stationary_on_class(sub)
-    pi = np.zeros(mdp.n_states)
-    pi[cls] = pi_cls
-    return pi.reshape(mdp.space.n_configs, mdp.space.n_routes)
+
+    (cls,) = held_classes
+    on_class = np.zeros((held.size, C), dtype=bool)
+    on_class.flat[cls] = True
+    on_class = on_class.T
+    rows = np.arange(C)
+    start = np.where(on_class[rows, best], best, on_class.argmax(axis=1))
+    x = np.zeros((C, held.size))
+    x[rows, start] = config_stationary_law(space.counts, mdp.params)
+    # mass starts on the class only (mu is 0 off it); the class is
+    # closed, so every other state stays exactly 0
+    x[~on_class] = 0.0
+
+    disc = actions[:, held]
+    PT = mdp.kernel.csr.T
+    lazy = _may_be_periodic(mdp.params)
+    for it in range(1, PROPAGATION_MAX_ITER + 1):
+        moved = np.where(disc, 0.0, x)
+        moved[rows, best] += np.where(disc, x, 0.0).sum(axis=1)
+        nxt = PT @ moved
+        if lazy or it > PROPAGATION_STALL:
+            nxt = 0.5 * (x + nxt)
+        step = float(np.abs(nxt - x).sum())
+        x = nxt
+        if step < PROPAGATION_TOL:
+            break
+    else:
+        raise ConvergenceError(
+            f"stationary propagation did not reach step {PROPAGATION_TOL} "
+            f"within {PROPAGATION_MAX_ITER} iterations (step {step:.3e})"
+        )
+    pi = np.zeros((C, R))
+    pi[:, held] = x
+    return pi
 
 
 def evaluate_policy(mdp: Mdp, policy) -> float:
@@ -401,8 +445,8 @@ class PolicyEvaluator:
     """Caches stationary distributions by action table.
 
     The induced chain depends only on the action table, never on phi,
-    so one stationary solve serves every phi in a sweep; the gain is a
-    reweighted dot product per phi.
+    so one policy_stationary propagation serves every phi in a sweep;
+    the gain is a reweighted dot product per phi.
     """
 
     def __init__(self, mdp: Mdp):

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csgraph, csr_matrix, issparse
 
 from .errors import EnumerationLimitError, ReducibleChainError
 from .grid import Boundary, Configuration, NetworkParams, enumerate_configurations
@@ -50,6 +50,17 @@ class ConfigKernel:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+
+    @cached_property
+    def csr(self) -> csr_matrix:
+        """The same matrix in CSR form, built on first use. Its `.T` view
+        serves products with the transpose, so no second copy is kept."""
+        return csr_matrix(self.matrix)
+
+    @cached_property
+    def classes(self) -> list[np.ndarray]:
+        """Closed classes of the configuration chain (see closed_classes)."""
+        return closed_classes(self.csr)
 
     def index(self, config: Configuration) -> int:
         return self._index[config.counts]
@@ -94,21 +105,26 @@ def node_kernel(params: NetworkParams) -> NodeKernel:
     return NodeKernel(matrix=P)
 
 
-def _closed_classes(P: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Strongly connected component labels and the list of closed
-    classes (no outgoing edge), each as an array of state indices."""
-    sparse = csr_matrix(P > 0)
+def closed_classes(P) -> list[np.ndarray]:
+    """Closed classes of a Markov chain: its strongly connected
+    components with no edge leaving them. P is a dense array, whose
+    nonzero entries are the edges, or a scipy sparse matrix, whose
+    stored entries are. Each class is a sorted array of state indices,
+    and the classes come ordered by their smallest state."""
+    G = csr_matrix(P) if issparse(P) else csr_matrix(np.asarray(P) != 0)
     n_comp, labels = csgraph.connected_components(
-        sparse, directed=True, connection="strong"
+        G, directed=True, connection="strong"
     )
-    rows, cols = sparse.nonzero()
-    open_labels = set(labels[rows[labels[rows] != labels[cols]]].tolist())
-    closed = [
-        np.flatnonzero(labels == lab)
-        for lab in range(n_comp)
-        if lab not in open_labels
-    ]
-    return labels, closed
+    src = np.repeat(labels, np.diff(G.indptr))
+    dst = labels[G.indices]
+    is_open = np.zeros(n_comp, dtype=bool)
+    is_open[src[src != dst]] = True
+    # states grouped by label, ascending within each group
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
+    closed = [groups[lab] for lab in np.flatnonzero(~is_open)]
+    closed.sort(key=lambda cls: int(cls[0]))
+    return closed
 
 
 def _stationary_dense(P: np.ndarray) -> np.ndarray:
@@ -133,7 +149,7 @@ def stationary_node_distribution(kernel: NodeKernel) -> np.ndarray:
     P = kernel.matrix
     if P.shape[0] == 1:
         return np.array([1.0])
-    _, closed = _closed_classes(P)
+    closed = closed_classes(P)
     if len(closed) != 1:
         raise ReducibleChainError(
             f"node kernel has {len(closed)} closed classes", classes=closed

@@ -340,6 +340,7 @@ class TestAcceptance:
             f"({cells} parameter cells, exact evaluation)"
         )
 
+    @pytest.mark.slow
     def test_criterion_10_simulator_consistency(self):
         rng = np.random.default_rng(101)
         pool = ["optimal", "route-break", "rule:2", "always", "fixed:0.18"]

@@ -1,9 +1,13 @@
 """Command-line interface and config-file format."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import manet1d
 from manet1d import Boundary, ConfigError, parse_config_text
 from manet1d.cli import main, main_script
 
@@ -320,6 +324,34 @@ class TestErrorPaths:
         assert main(["analyze", path]) == 0
         assert capsys.readouterr().err == ""
 
+    FROZEN = "K=3\nN=2\np_l=0\np_r=0\nphi=0.2\n"
+
+    @pytest.mark.parametrize(
+        "text, command, fragment",
+        [
+            (FROZEN, ["analyze"], "node kernel has 3 closed classes"),
+            (FROZEN, ["solve"], "configuration chain is reducible"),
+            (FROZEN, ["eval", "--policy", "always"], "closed classes"),
+            (FROZEN, ["simulate", "--policy", "rule:2"], "node kernel has 3 closed classes"),
+            (
+                "K=5\nN=4\np_l=0.3\np_r=0.3\nphi=0\n",
+                ["sweep", "--phis", "0.5", "--policies", "never", "--out", "-"],
+                "policy induces 14 closed classes",
+            ),
+        ],
+        ids=["analyze", "solve", "eval", "simulate", "sweep"],
+    )
+    def test_reducible_chain_exits_3(self, tmp_path, capsys, text, command, fragment):
+        path = write_config(tmp_path, text)
+        argv = command[:1] + [path] + command[1:]
+        if command[0] == "solve":
+            argv += ["--out", str(tmp_path / "policy.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert fragment in err
+        assert "Traceback" not in err
+
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main([])
@@ -340,3 +372,22 @@ class TestMainScript:
         with pytest.raises(SystemExit) as exc:
             main_script()
         assert exc.value.code == 1
+
+    def test_runs_as_module(self, tmp_path):
+        path = write_config(tmp_path, CFG_21)
+        env = dict(os.environ)
+        src = str(Path(manet1d.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "manet1d.cli", "analyze", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("K=2 N=1 ")
+        assert "E[raw throughput] = " in done.stdout
+        done = subprocess.run(
+            [sys.executable, "-m", "manet1d.cli", "analyze", str(tmp_path / "missing.cfg")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")

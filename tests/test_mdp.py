@@ -1,9 +1,10 @@
 """Average-reward control: state space, value iteration, exact policy
 evaluation."""
 
+import chain_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from manet1d import (
@@ -22,7 +23,9 @@ from manet1d import (
     state_space,
     threshold_policy,
 )
-from manet1d.mdp import MdpState
+from manet1d.errors import ConvergenceError
+from manet1d.mdp import PROPAGATION_MAX_ITER, MdpState
+from manet1d.mobility import config_stationary_law
 from manet1d.policies import always_discover, never_discover
 
 P33 = NetworkParams(K=3, N=3, phi=0.3)
@@ -329,3 +332,85 @@ def test_state_rendering():
     mdp = build_mdp(NetworkParams(K=2, N=1))
     text = str(mdp.state(0))
     assert "config=" in text and "held=" in text
+
+
+@st.composite
+def chain_cases(draw):
+    """Small parameter sets over every mobility regime (stuck and wrap
+    walks, p_t = 0, one-way walks, frozen nodes) with a table. Moving
+    probabilities stay at least 0.1 away from 0 and p_t from 0 unless it
+    is exactly 0: a walk that is nearly frozen or nearly periodic mixes
+    so slowly that no method resolves pi to 1e-12."""
+    K = draw(st.integers(min_value=1, max_value=4))
+    N = draw(st.integers(min_value=1, max_value=4))
+    boundary = draw(st.sampled_from([Boundary.STUCK, Boundary.WRAP]))
+    regime = draw(st.sampled_from(["walk", "no_stay", "one_way", "frozen"]))
+    prob = st.floats(min_value=0.1, max_value=0.45)
+    if regime == "walk":
+        p_l, p_r = draw(prob), draw(prob)
+    elif regime == "no_stay":
+        p_l = draw(st.floats(min_value=0.1, max_value=0.9))
+        p_r = 1.0 - p_l  # p_t = 0 exactly
+    elif regime == "one_way":
+        p_l = 0.0
+        p_r = draw(st.one_of(st.floats(min_value=0.1, max_value=0.9), st.just(1.0)))
+    else:
+        p_l = p_r = 0.0
+    phi = draw(st.floats(min_value=0.0, max_value=1.0))
+    params = NetworkParams(K=K, N=N, p_l=p_l, p_r=p_r, boundary=boundary, phi=phi)
+    table = draw(st.sampled_from(["random", "always", "never", "route-break", "optimal"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return params, table, seed
+
+
+def _table(mdp, kind, seed):
+    if kind == "always":
+        return always_discover(mdp)
+    if kind == "never":
+        return never_discover(mdp)
+    if kind == "route-break":
+        return route_break_policy(mdp)
+    if kind == "optimal":
+        try:
+            return solve_avg_reward(mdp).action
+        except ReducibleChainError:
+            # no optimum without a single configuration class: use a table
+            return route_break_policy(mdp)
+    rng = np.random.default_rng(seed)
+    C, R = mdp.space.n_configs, mdp.space.n_routes
+    return rng.random((C, R)) < rng.uniform(0.05, 0.95)
+
+
+@given(case=chain_cases())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_policy_stationary_matches_full_chain_oracle(case):
+    params, kind, seed = case
+    mdp = build_mdp(params)
+    actions = _table(mdp, kind, seed)
+    try:
+        want = chain_oracle.policy_stationary(mdp, actions)
+    except ReducibleChainError as e:
+        want_classes = {tuple(cls.tolist()) for cls in e.classes}
+        with pytest.raises(ReducibleChainError) as exc:
+            policy_stationary(mdp, actions)
+        got = [tuple(cls.tolist()) for cls in exc.value.classes]
+        assert set(got) == want_classes
+        assert got == sorted(got)  # ordered by smallest state index
+        return
+    # a table can still make the route split mix slowly; both methods
+    # then carry errors of about 1e-15 over the spectral gap, or more
+    gap = chain_oracle.lazy_spectral_gap(mdp, actions)
+    tol = max(1e-12, 1e-14 / gap)
+    try:
+        pi = policy_stationary(mdp, actions)
+    except ConvergenceError:
+        # the step shrinks by about (1 - gap) per iteration, so only a
+        # chain this slow can exhaust the iteration budget
+        assert gap < 35 / PROPAGATION_MAX_ITER
+        return
+    assert np.abs(pi - want).max() <= tol
+    assert (pi[want == 0] == 0).all()  # transient states carry no mass
+    rewards = mdp.rewards(actions)
+    assert abs(float((pi * rewards).sum()) - float((want * rewards).sum())) <= tol
+    mu = config_stationary_law(mdp.space.counts, params)
+    assert np.abs(pi.sum(axis=1) - mu).max() <= tol

@@ -365,6 +365,7 @@ class TestConfigVisits:
 
 
 class TestErrorBarCoverage:
+    @pytest.mark.slow
     def test_three_sigma_interval_covers_exact_gain(self):
         # 100 independent trials (disjoint Philox keys); with 8
         # replications the 3-sigma band misses about 2% of the time,
