@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 configuration/policy parse error,
 2 enumeration or size guard tripped, 3 no unique long-run average (a
 reducible chain: for example frozen nodes, or a policy such as `never`
-that keeps whichever route it starts with).
+that keeps whichever route it starts with), 4 an iterative solver did
+not converge within its sweep budget (a nearly periodic walk).
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import argparse
 import sys
 
 from .configfile import parse_config_file
-from .errors import ConfigError, EnumerationLimitError, ReducibleChainError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    EnumerationLimitError,
+    ReducibleChainError,
+)
 from .grid import configuration_count, enumerate_routes
 from .mdp import build_mdp, solve_avg_reward
 from .mobility import node_kernel, stationary_node_distribution
@@ -229,6 +235,9 @@ def main(argv=None) -> int:
     except ReducibleChainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except ConvergenceError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 def main_script() -> None:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import EnumerationLimitError
 
 DEFAULT_ENUMERATION_LIMIT = 10**6
@@ -186,6 +188,28 @@ def enumerate_configurations(
             f"exceed the enumeration limit {limit}"
         )
     return [Configuration(c) for c in _enumerate_counts(params.K, params.N)]
+
+
+def rank_counts(counts, N: int) -> np.ndarray:
+    """Index in enumerate_configurations order of each row of `counts`
+    (shape (rows, K), every row an occupancy vector of N nodes).
+
+    A row is preceded by the configurations that agree with it before
+    position k and hold fewer than n_k nodes at k. With rem_k nodes left
+    for the p_k + 1 = K - k positions from k on, there are
+    C(rem_k + p_k, p_k) - C(rem_k - n_k + p_k, p_k) of those (summing
+    over the smaller counts by the hockey-stick identity); the term is 0
+    at the last position, where p_k = 0.
+    """
+    counts = np.asarray(counts)
+    if (counts < 0).any() or (counts.sum(axis=1) != N).any():
+        raise ValueError(f"every row must be an occupancy vector of {N} nodes")
+    K = counts.shape[1]
+    # table[r, p] = C(r + p, p), the ways to place r nodes on p + 1 positions
+    table = np.array([[math.comb(r + p, p) for p in range(K)] for r in range(N + 1)])
+    rem = N - np.cumsum(counts, axis=1) + counts
+    p = np.arange(K - 1, -1, -1)
+    return (table[rem, p] - table[rem - counts, p]).sum(axis=1)
 
 
 @lru_cache(maxsize=64)

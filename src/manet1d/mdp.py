@@ -34,6 +34,7 @@ from .grid import (
     NetworkParams,
     Route,
     enumerate_configurations,
+    rank_counts,
 )
 from .mobility import (
     ConfigKernel,
@@ -110,11 +111,7 @@ class StateSpace:
         self.null_route_idx = R - 1
 
     def config_index(self, config: Configuration) -> int:
-        idx = getattr(self, "_config_index", None)
-        if idx is None:
-            idx = {c.counts: i for i, c in enumerate(self.configs)}
-            self._config_index = idx
-        return idx[config.counts]
+        return int(rank_counts([config.counts], self.params.N)[0])
 
     def route_index(self, route: Route) -> int:
         idx = getattr(self, "_route_index", None)

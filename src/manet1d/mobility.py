@@ -19,7 +19,13 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix, issparse
 
 from .errors import EnumerationLimitError, ReducibleChainError
-from .grid import Boundary, Configuration, NetworkParams, enumerate_configurations
+from .grid import (
+    Boundary,
+    Configuration,
+    NetworkParams,
+    enumerate_configurations,
+    rank_counts,
+)
 
 DEFAULT_SPLIT_LIMIT = 10**6
 DEFAULT_KERNEL_CONFIG_LIMIT = 4000
@@ -63,15 +69,7 @@ class ConfigKernel:
         return closed_classes(self.csr)
 
     def index(self, config: Configuration) -> int:
-        return self._index[config.counts]
-
-    @property
-    def _index(self) -> dict:
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {c.counts: i for i, c in enumerate(self.configs)}
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
+        return int(rank_counts([config.counts], sum(config.counts))[0])
 
 
 def move_targets(params: NetworkParams) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Slot-level Monte Carlo simulation and phi sweeps.
 
 The simulator tracks the N individual node positions (the physical
-process), derives the occupancy configuration each slot, applies the
-policy, and accrues net reward. Replication r draws from a counter-based
-Philox stream keyed with seed XOR r, so every run is reproducible and
-replications are independent.
+process) over a chunk of slots at once with an exact time-parallel walk
+(_walk), ranks each slot's occupancy configuration, then applies the
+policy slot by slot and accrues net reward. Replication r draws from a
+counter-based Philox stream keyed with seed XOR r, so every run is
+reproducible and replications are independent.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .grid import NetworkParams
+from .grid import NetworkParams, rank_counts
 from .mdp import Mdp, PolicyEvaluator, build_mdp, solve_avg_reward, state_space
 from .mobility import move_targets
 from .policies import (
@@ -27,7 +28,7 @@ from .policies import (
     threshold_policy,
 )
 
-try:  # the slot loop is plain Python; numba just makes it fast
+try:  # the policy pass is plain Python; numba just makes it fast
     from numba import njit as _njit
 except ImportError:  # pragma: no cover
     def _njit(*args, **kwargs):
@@ -144,42 +145,59 @@ def resolve_policy(
 
 
 # ---------------------------------------------------------------------------
-# slot loop
+# trajectories
+
+_BLOCK = 1 << 12  # slots walked and ranked at once; bounds the temporaries
 
 
-def _binom_table(N: int, K: int) -> np.ndarray:
-    size = N + K + 1
-    comb = np.zeros((size, K + 1), dtype=np.int64)
-    comb[:, 0] = 1
-    for n in range(1, size):
-        for r in range(1, K + 1):
-            comb[n, r] = comb[n - 1, r - 1] + comb[n - 1, r]
-    return comb
+def _walk(u, pos, targets, c0, c1):
+    """Node positions (T, N) after each slot of uniforms u (T, N), from
+    `pos`, which is advanced to the last slot's positions. A node moves
+    left when its uniform is below c0, stays when it is below c1 and
+    moves right otherwise (no node stays when p_l + p_r rounds above 1
+    and c1 < c0).
+
+    Time-parallel and exact: the slots are cut into segments of about
+    sqrt(T); each segment's end position is found from every start
+    position at once, the segments are chained through those maps, and
+    then all segments are replayed together from their known starts.
+    """
+    T, N = u.shape
+    K = targets.shape[0]
+    flat = targets.ravel()
+    L = math.isqrt(T - 1) + 1
+    S = -(-T // L)
+    moves = np.ones((S, L, N), dtype=np.int64)  # padded with "stay"
+    moves.reshape(S * L, N)[:T] = (u >= c0) * (1 + (u >= c1))
+    ends = np.broadcast_to(np.arange(K), (S, N, K))
+    for j in range(L):
+        ends = flat[3 * ends + moves[:, j, :, None]]
+    starts = np.empty((S, N), dtype=np.int64)
+    for s in range(S):
+        starts[s] = pos
+        pos[:] = ends[s, np.arange(N), pos]
+    for j in range(L):  # each slot's positions overwrite its moves
+        moves[:, j] = starts = flat[3 * starts + moves[:, j]]
+    return moves.reshape(S * L, N)[:T]
 
 
-@_njit(cache=False)
-def _config_rank(counts, N, K, comb):
-    rank = 0
-    rem = N
-    for k in range(K - 1):
-        parts = K - 1 - k
-        nk = counts[k]
-        for v in range(nk):
-            rank += comb[rem - v + parts - 1, parts - 1]
-        rem -= nk
-    return rank
+def _config_path(u, pos, params):
+    """Configuration index (enumeration order) of each slot of a chunk of
+    uniforms u (T, N); see _walk."""
+    targets = move_targets(params)
+    c0, c1 = params.p_l, params.p_l + params.p_t
+    idx = np.empty(len(u), dtype=np.int64)
+    for a in range(0, len(u), _BLOCK):
+        at = _walk(u[a : a + _BLOCK], pos, targets, c0, c1)
+        counts = (at[:, :, None] == np.arange(params.K)).sum(axis=1)
+        idx[a : a + len(at)] = rank_counts(counts, params.N)
+    return idx
 
 
 @_njit(cache=False)
 def _slot_loop(
-    pos,
+    cfgs,
     held,
-    u,
-    targets,
-    c0,
-    c1,
-    comb,
-    counts,
     actions,
     best_idx,
     best_f,
@@ -191,26 +209,11 @@ def _slot_loop(
     t0,
     burn_in,
 ):
-    T, N = u.shape
-    K = targets.shape[0]
     reward_sum = 0.0
     discoveries = 0
     counted = 0
-    for t in range(T):
-        for i in range(N):
-            p = pos[i]
-            ui = u[t, i]
-            if ui < c0:
-                pos[i] = targets[p, 0]
-            elif ui < c1:
-                pos[i] = targets[p, 1]
-            else:
-                pos[i] = targets[p, 2]
-        for k in range(K):
-            counts[k] = 0
-        for i in range(N):
-            counts[pos[i]] += 1
-        cfg = _config_rank(counts, N, K, comb)
+    for t in range(cfgs.shape[0]):
+        cfg = cfgs[t]
         if mode == 0:
             discover = actions[cfg, held] != 0
         else:  # threshold applied to the previous slot's realised reward
@@ -229,27 +232,6 @@ def _slot_loop(
     return held, reward_sum, discoveries, counted, prev_obs
 
 
-@_njit(cache=False)
-def _visit_loop(pos, u, targets, c0, c1, comb, counts, visits):
-    T, N = u.shape
-    K = targets.shape[0]
-    for t in range(T):
-        for i in range(N):
-            p = pos[i]
-            ui = u[t, i]
-            if ui < c0:
-                pos[i] = targets[p, 0]
-            elif ui < c1:
-                pos[i] = targets[p, 1]
-            else:
-                pos[i] = targets[p, 2]
-        for k in range(K):
-            counts[k] = 0
-        for i in range(N):
-            counts[pos[i]] += 1
-        visits[_config_rank(counts, N, K, comb)] += 1
-
-
 def _rng_for(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed ^ replication))
 
@@ -262,17 +244,10 @@ def simulate_config_visits(
     space = state_space(params)
     rng = _rng_for(seed, replication)
     pos = rng.integers(0, params.K, size=params.N).astype(np.int64)
-    targets = move_targets(params)
-    c0, c1 = params.p_l, params.p_l + params.p_t
-    comb = _binom_table(params.N, params.K)
-    counts = np.zeros(params.K, dtype=np.int64)
     visits = np.zeros(space.n_configs, dtype=np.int64)
-    done = 0
-    while done < slots:
-        step = min(_CHUNK, slots - done)
-        u = rng.random((step, params.N))
-        _visit_loop(pos, u, targets, c0, c1, comb, counts, visits)
-        done += step
+    for done in range(0, slots, _CHUNK):
+        u = rng.random((min(_CHUNK, slots - done), params.N))
+        visits += np.bincount(_config_path(u, pos, params), minlength=space.n_configs)
     return visits
 
 
@@ -310,9 +285,6 @@ def simulate(cfg: SimConfig, observe: str = "current") -> PolicyReport:
         table, theta = resolve_policy(spec, params)
         actions = table.astype(np.uint8)
 
-    targets = move_targets(params)
-    c0, c1 = params.p_l, params.p_l + params.p_t
-    comb = _binom_table(params.N, params.K)
     best_idx = space.best_route_idx
     best_f = space.best_f
     cont_f = space.cont_f
@@ -320,7 +292,6 @@ def simulate(cfg: SimConfig, observe: str = "current") -> PolicyReport:
 
     rep_means = np.zeros(cfg.replications)
     rep_disc = np.zeros(cfg.replications)
-    counts = np.zeros(params.K, dtype=np.int64)
     for rep in range(cfg.replications):
         rng = _rng_for(cfg.seed, rep)
         pos = rng.integers(0, params.K, size=params.N).astype(np.int64)
@@ -329,12 +300,10 @@ def simulate(cfg: SimConfig, observe: str = "current") -> PolicyReport:
         total = 0.0
         discoveries = 0
         counted = 0
-        done = 0
-        while done < cfg.slots:
-            step = min(_CHUNK, cfg.slots - done)
-            u = rng.random((step, params.N))
+        for done in range(0, cfg.slots, _CHUNK):
+            u = rng.random((min(_CHUNK, cfg.slots - done), params.N))
             held, rew, disc, cnt, prev_obs = _slot_loop(
-                pos, held, u, targets, c0, c1, comb, counts, actions,
+                _config_path(u, pos, params), held, actions,
                 best_idx, best_f, cont_f, one_minus_phi, mode,
                 0.0 if theta is None else theta,
                 prev_obs, done, cfg.burn_in,
@@ -342,7 +311,6 @@ def simulate(cfg: SimConfig, observe: str = "current") -> PolicyReport:
             total += rew
             discoveries += disc
             counted += cnt
-            done += step
         rep_means[rep] = total / counted
         rep_disc[rep] = discoveries / counted
 

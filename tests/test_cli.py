@@ -352,6 +352,18 @@ class TestErrorPaths:
         assert fragment in err
         assert "Traceback" not in err
 
+    def test_solver_that_does_not_converge_exits_4(self, tmp_path, capsys):
+        # a wrap walk this close to periodic never settles value iteration
+        path = write_config(
+            tmp_path,
+            "K=4\nN=2\np_l=0.4999999999999\np_r=0.4999999999999\n"
+            "boundary=wrap\nphi=0.2\n",
+        )
+        assert main(["solve", path, "--out", str(tmp_path / "policy.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: value iteration did not reach span")
+        assert "Traceback" not in err
+
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main([])

@@ -1,5 +1,6 @@
 """Grid model: parameters, configurations, route enumeration."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from manet1d import (
     hop_rate,
     route_supported,
 )
+from manet1d.grid import rank_counts
 
 # Route census for K=4, m=2, written out by hand (nearest-extension
 # depth-first order), with the null route last.
@@ -212,3 +214,17 @@ class TestRouteSupported:
 
     def test_relayless_route_always_supported(self):
         assert route_supported(Route((0, 2)), Configuration((0,)))
+
+
+def test_rank_counts_is_the_enumeration_index():
+    for K in range(1, 9):
+        for N in range(11):
+            configs = enumerate_configurations(NetworkParams(K=K, N=N))
+            counts = np.array([c.counts for c in configs])
+            assert rank_counts(counts, N).tolist() == list(range(len(configs)))
+
+
+@pytest.mark.parametrize("row", [(1, 0, 0), (2, 1, 0), (3, -1, 0)])
+def test_rank_counts_rejects_rows_of_another_node_count(row):
+    with pytest.raises(ValueError):
+        rank_counts([row], 2)

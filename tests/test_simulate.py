@@ -2,9 +2,13 @@
 evaluator, and coverage of the reported error bars."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import slot_oracle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from manet1d import (
     Boundary,
@@ -362,6 +366,116 @@ class TestConfigVisits:
             [config_stationary_prob(c, params) for c in space.configs]
         )
         assert tv_distance(visits, probs) < 0.01
+
+
+@st.composite
+def oracle_cases(draw):
+    """Small runs over every mobility regime (stuck and wrap walks,
+    p_t = 0, one-way walks, frozen nodes, K = 1, N = 0) with a policy
+    spec and an observation mode. Moving probabilities stay at least 0.1
+    away from 0 unless they are exactly 0, so that the optimal and
+    best-threshold specs solve in a few sweeps."""
+    K = draw(st.integers(min_value=1, max_value=6))
+    N = draw(st.integers(min_value=0, max_value=6))
+    boundary = draw(st.sampled_from([Boundary.STUCK, Boundary.WRAP]))
+    regime = draw(st.sampled_from(["walk", "no_stay", "one_way", "frozen"]))
+    prob = st.floats(min_value=0.1, max_value=0.45)
+    if regime == "walk":
+        p_l, p_r = draw(prob), draw(prob)
+    elif regime == "no_stay":
+        p_l = draw(st.floats(min_value=0.1, max_value=0.9))
+        p_r = 1.0 - p_l  # p_t = 0 exactly
+    elif regime == "one_way":
+        p_l, p_r = 0.0, draw(st.floats(min_value=0.1, max_value=1.0))
+    else:
+        p_l = p_r = 0.0
+    m = draw(st.integers(min_value=1, max_value=3))
+    rates = (1.0, 0.5, 0.25)[:m]
+    phi = draw(st.floats(min_value=0.0, max_value=1.0))
+    params = NetworkParams(
+        K=K, N=N, m=m, rates=rates, p_l=p_l, p_r=p_r, boundary=boundary, phi=phi
+    )
+    observe = draw(st.sampled_from(["current", "prev"]))
+    threshold_specs = ["route-break", "rule:2", "fixed:0.3", "fixed:0"]
+    table_specs = ["always", "never", "optimal", "best-threshold"]
+    policy = draw(
+        st.sampled_from(threshold_specs + (table_specs if observe == "current" else []))
+    )
+    slots = draw(st.integers(min_value=1, max_value=10_000))  # up to 3 walk blocks
+    cfg = SimConfig(
+        params=params,
+        slots=slots,
+        burn_in=draw(st.integers(min_value=0, max_value=slots - 1)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        replications=draw(st.integers(min_value=1, max_value=3)),
+        policy=policy,
+    )
+    return cfg, observe
+
+
+def assert_matches_slot_oracle(cfg, observe="current"):
+    """simulate and simulate_config_visits equal the per-slot reference
+    exactly: the same report, to the last bit, and the same visits."""
+    try:
+        want = slot_oracle.simulate(cfg, observe=observe)
+    except Exception as e:  # no exact solution to act on: both must fail
+        with pytest.raises(type(e)):
+            simulate(cfg, observe=observe)
+        return
+    assert simulate(cfg, observe=observe) == want
+    visits = simulate_config_visits(cfg.params, cfg.slots, cfg.seed, replication=1)
+    want_visits = slot_oracle.simulate_config_visits(
+        cfg.params, cfg.slots, cfg.seed, replication=1
+    )
+    assert visits.dtype == want_visits.dtype
+    assert np.array_equal(visits, want_visits)
+
+
+class TestSlotOracle:
+    @given(case=oracle_cases())
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_matches_per_slot_reference(self, case):
+        assert_matches_slot_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "params, policy, observe",
+        [
+            (NetworkParams(K=3, N=2, p_l=0.1, p_r=0.4, phi=0.3), "optimal", "current"),
+            (
+                NetworkParams(K=4, N=3, p_l=0.3, p_r=0.2, boundary=Boundary.WRAP),
+                "rule:2",
+                "prev",
+            ),
+        ],
+    )
+    def test_runs_longer_than_a_chunk(self, params, policy, observe):
+        # 70,000 slots span two chunks of uniforms, and the burn-in ends
+        # inside the second one
+        cfg = SimConfig(
+            params=params, slots=70_000, burn_in=66_000, seed=9, replications=2,
+            policy=policy,
+        )
+        assert_matches_slot_oracle(cfg, observe)
+
+    def test_long_line_ranks_without_overflow(self):
+        # the reference's binomial table overflows int64 here; the
+        # entries it reads are still exact
+        params = NetworkParams(K=300, N=2, m=1, rates=(1.0,), p_l=0.4, p_r=0.4)
+        cfg = SimConfig(
+            params=params, slots=3000, burn_in=10, seed=4, replications=2, policy="always"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = simulate(cfg)
+            visits = simulate_config_visits(params, 3000, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert got == slot_oracle.simulate(cfg)
+            assert np.array_equal(
+                visits, slot_oracle.simulate_config_visits(params, 3000, seed=4)
+            )
 
 
 class TestErrorBarCoverage:
