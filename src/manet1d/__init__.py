@@ -39,7 +39,6 @@ from .scheduling import (
 from .mdp import (
     Mdp,
     MdpSolution,
-    MdpState,
     PolicyEvaluator,
     build_mdp,
     evaluate_policy,

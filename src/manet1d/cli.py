@@ -81,7 +81,7 @@ def _cmd_solve(cfg: SimConfig, args) -> int:
     lines = ["state,config,held_route,action,bias"]
     space = mdp.space
     for c in range(space.n_configs):
-        config = space.configs[c]
+        config_txt = " ".join(str(v) for v in space.counts[c])
         for r in range(space.n_routes):
             s = c * space.n_routes + r
             act = "discover" if solution.action[c, r] else "continue"
@@ -89,7 +89,6 @@ def _cmd_solve(cfg: SimConfig, args) -> int:
             route_txt = "null" if route.is_null else "-".join(
                 str(p) for p in route.positions
             )
-            config_txt = " ".join(str(v) for v in config.counts)
             lines.append(
                 f"{s},{config_txt},{route_txt},{act},{_sig(solution.bias[c, r])}"
             )

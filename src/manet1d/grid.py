@@ -5,11 +5,19 @@ position 0 and the destination at position K+1; both are fixed. N relay
 nodes occupy the interior positions and move between slots. A hop of
 length d carries rate rates[d-1] when d <= m and cannot be used at all
 otherwise.
+
+A configuration is an occupancy vector: how many nodes sit at each
+position. The library holds all C of them as the rows of one (C, K)
+int64 array (configuration_rows) in ascending lexicographic order, and
+rank_counts maps a row back to its index in closed form. Configuration
+objects are built only at the public edge: enumerate_configurations
+and the single-configuration helpers.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -110,7 +118,12 @@ class Configuration:
         return self.counts[position - 1] > 0
 
     def __str__(self):
-        return "[" + " ".join(str(c) for c in self.counts) + "]"
+        return format_counts(self.counts)
+
+
+def format_counts(counts) -> str:
+    """Render an occupancy vector as [a b c]."""
+    return "[" + " ".join(str(int(c)) for c in counts) + "]"
 
 
 @dataclass(frozen=True)
@@ -161,37 +174,54 @@ def configuration_count(params: NetworkParams) -> int:
 
 
 @lru_cache(maxsize=64)
-def _enumerate_counts(K: int, N: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
+def _enumerate_counts(K: int, N: int) -> np.ndarray:
+    # Stars and bars: N stars and K - 1 bars fill N + K - 1 slots, and the
+    # star runs between consecutive bars are the occupancy counts.
+    # combinations() yields the bar positions in lexicographic order,
+    # which is ascending lexicographic order of the counts.
+    slots = N + K - 1
+    C = math.comb(slots, K - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), K - 1)),
+        dtype=np.int64,
+        count=C * (K - 1),
+    ).reshape(C, K - 1)
+    counts = np.diff(bars, axis=1, prepend=-1, append=slots)
+    counts -= 1
+    counts.setflags(write=False)
+    return counts
 
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
 
-    rec((), N, K)
-    return tuple(out)
-
-
-def enumerate_configurations(
-    params: NetworkParams, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> list[Configuration]:
-    """All occupancy vectors of N nodes over K positions, ascending
-    lexicographic. Raises EnumerationLimitError if the count (a binomial
-    coefficient) exceeds `limit`."""
+def _check_enumeration_limit(params: NetworkParams, limit: int) -> None:
     total = configuration_count(params)
     if total > limit:
         raise EnumerationLimitError(
             f"{total} configurations for K={params.K}, N={params.N} "
             f"exceed the enumeration limit {limit}"
         )
-    return [Configuration(c) for c in _enumerate_counts(params.K, params.N)]
+
+
+def configuration_rows(params: NetworkParams) -> np.ndarray:
+    """All occupancy vectors of N nodes over K positions, ascending
+    lexicographic, as the rows of a read-only (C, K) int64 array shared
+    between callers. Raises EnumerationLimitError, before allocating
+    anything, if C exceeds DEFAULT_ENUMERATION_LIMIT."""
+    _check_enumeration_limit(params, DEFAULT_ENUMERATION_LIMIT)
+    return _enumerate_counts(params.K, params.N)
+
+
+def enumerate_configurations(
+    params: NetworkParams, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> list[Configuration]:
+    """The rows of configuration_rows as Configuration objects. Raises
+    EnumerationLimitError if their count (a binomial coefficient)
+    exceeds `limit`."""
+    _check_enumeration_limit(params, limit)
+    return [Configuration(c) for c in _enumerate_counts(params.K, params.N).tolist()]
 
 
 def rank_counts(counts, N: int) -> np.ndarray:
-    """Index in enumerate_configurations order of each row of `counts`
+    """Index in configuration_rows order of each row of `counts`
     (shape (rows, K), every row an occupancy vector of N nodes).
 
     A row is preceded by the configurations that agree with it before

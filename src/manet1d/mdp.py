@@ -1,13 +1,15 @@
 """Average-reward control of route discovery.
 
-State: (configuration, held route). Action: discover a fresh route
-(earning (1 - phi) times the best currently supported throughput and
-replacing the held route with that best route) or continue on the held
-route (earning its throughput if its relay positions are all occupied,
-else nothing). The configuration component moves by the exact occupancy
-kernel regardless of the action, so a transition matrix never has to be
-materialised for the optimiser: one sparse (CSR) config-kernel product
-per sweep suffices.
+State: (configuration, held route), indexed s = c * R + r with c the
+configuration's row in configuration_rows order and r the route's index
+(null route last); there are no per-state objects, only (C, R) arrays.
+Action: discover a fresh route (earning (1 - phi) times the best
+currently supported throughput and replacing the held route with that
+best route) or continue on the held route (earning its throughput if its
+relay positions are all occupied, else nothing). The configuration
+component moves by the exact occupancy kernel regardless of the action,
+so a transition matrix never has to be materialised for the optimiser:
+one sparse (CSR) config-kernel product per sweep suffices.
 
 Exact policy evaluation uses the same structure. The held route only
 ever changes to the configuration's best route, so the distinct best
@@ -30,11 +32,11 @@ from scipy.sparse import csr_matrix
 from .errors import ConvergenceError, EnumerationLimitError, ReducibleChainError
 from .grid import (
     Boundary,
-    Configuration,
     NetworkParams,
     Route,
-    enumerate_configurations,
-    rank_counts,
+    configuration_count,
+    configuration_rows,
+    format_counts,
 )
 from .mobility import (
     ConfigKernel,
@@ -42,23 +44,14 @@ from .mobility import (
     config_kernel,
     config_stationary_law,
 )
-from .scheduling import _route_table, route_supported
+from .scheduling import _route_table
 
 DEFAULT_STATE_LIMIT = 200_000
+# StateSpace holds a (C, R) bool and a (C, R) float64 array: 9 bytes a
+# state, so 5e7 states is about 430 MiB.
+STATE_SPACE_LIMIT = 5 * 10**7
 DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITER = 10**5
-
-CONTINUE = False
-DISCOVER = True
-
-
-@dataclass(frozen=True)
-class MdpState:
-    config: Configuration
-    held: Route
-
-    def __str__(self):
-        return f"(config={self.config}, held={self.held})"
 
 
 class StateSpace:
@@ -66,28 +59,27 @@ class StateSpace:
 
     Everything here is independent of phi and of the mobility
     probabilities, so one instance serves a whole parameter sweep.
+    Raises EnumerationLimitError, before enumerating or allocating
+    anything, when C * R exceeds STATE_SPACE_LIMIT.
     """
 
     def __init__(self, params: NetworkParams):
         routes, values, order = _route_table(params.K, params.m, params.rates)
-        self.params = params
-        self.configs: tuple[Configuration, ...] = tuple(
-            enumerate_configurations(params)
-        )
+        C, R = configuration_count(params), len(routes)
+        if C * R > STATE_SPACE_LIMIT:
+            raise EnumerationLimitError(
+                f"{C} configurations x {R} routes = {C * R} states exceed "
+                f"the state-space size limit {STATE_SPACE_LIMIT}"
+            )
+        self.counts = configuration_rows(params)
         self.routes: tuple[Route, ...] = routes
         self.route_f = np.array([float(v) for v in values])
-        self.counts = np.array([c.counts for c in self.configs], dtype=np.int64)
-        C, R = len(self.configs), len(routes)
 
+        # the null route, last, is never supported
+        occupied = self.counts > 0
         supported = np.zeros((C, R), dtype=bool)
-        for j, route in enumerate(routes):
-            if route.is_null:
-                continue
-            interior = [p - 1 for p in route.interior]
-            if interior:
-                supported[:, j] = (self.counts[:, interior] > 0).all(axis=1)
-            else:
-                supported[:, j] = True
+        for j, route in enumerate(routes[:-1]):
+            supported[:, j] = occupied[:, [p - 1 for p in route.interior]].all(axis=1)
         # Throughput earned by continuing on each route in each config.
         self.cont_f = np.where(supported, self.route_f[None, :], 0.0)
         self.cont_f.setflags(write=False)
@@ -97,8 +89,6 @@ class StateSpace:
         self.best_f = np.zeros(C)
         remaining = np.ones(C, dtype=bool)
         for j in order:
-            if routes[j].is_null:
-                continue
             hit = remaining & supported[:, j]
             self.best_route_idx[hit] = j
             self.best_f[hit] = self.route_f[j]
@@ -109,16 +99,6 @@ class StateSpace:
         self.n_configs = C
         self.n_routes = R
         self.null_route_idx = R - 1
-
-    def config_index(self, config: Configuration) -> int:
-        return int(rank_counts([config.counts], self.params.N)[0])
-
-    def route_index(self, route: Route) -> int:
-        idx = getattr(self, "_route_index", None)
-        if idx is None:
-            idx = {r.positions: i for i, r in enumerate(self.routes)}
-            self._route_index = idx
-        return idx[route.positions]
 
 
 @lru_cache(maxsize=8)
@@ -132,7 +112,8 @@ def state_space(params: NetworkParams) -> StateSpace:
 
 class Mdp:
     """State space plus mobility kernel plus phi. States are indexed
-    s = config_index * n_routes + route_index."""
+    s = c * R + r (configuration row c, route r), and every per-state
+    quantity is a (C, R) array in that layout."""
 
     def __init__(self, space: StateSpace, kernel: ConfigKernel, params: NetworkParams):
         self.space = space
@@ -142,19 +123,6 @@ class Mdp:
     @property
     def n_states(self) -> int:
         return self.space.n_configs * self.space.n_routes
-
-    def state(self, s: int) -> MdpState:
-        c, r = divmod(s, self.space.n_routes)
-        return MdpState(config=self.space.configs[c], held=self.space.routes[r])
-
-    def state_index(self, state: MdpState) -> int:
-        return self.space.config_index(state.config) * self.space.n_routes + (
-            self.space.route_index(state.held)
-        )
-
-    def states(self):
-        for s in range(self.n_states):
-            yield self.state(s)
 
     @property
     def reward_discover(self) -> np.ndarray:
@@ -174,17 +142,8 @@ class Mdp:
         return Mdp(self.space, self.kernel, self.params.with_phi(phi))
 
     def materialize_policy(self, policy) -> np.ndarray:
-        """Accept a (C, R) boolean table or a callable MdpState -> bool
-        and return the boolean table."""
+        """Check that a policy is a (C, R) table and return it as booleans."""
         C, R = self.space.n_configs, self.space.n_routes
-        if callable(policy):
-            table = np.zeros((C, R), dtype=bool)
-            for c in range(C):
-                for r in range(R):
-                    table[c, r] = bool(
-                        policy(MdpState(self.space.configs[c], self.space.routes[r]))
-                    )
-            return table
         table = np.asarray(policy)
         if table.shape != (C, R):
             raise ValueError(f"policy table must have shape {(C, R)}, got {table.shape}")
@@ -255,7 +214,8 @@ def solve_avg_reward(
         if len(closed) != 1:
             parts = []
             for cls in closed:
-                parts.append(f"{len(cls)} configs incl. {space.configs[int(cls[0])]}")
+                example = format_counts(space.counts[int(cls[0])])
+                parts.append(f"{len(cls)} configs incl. {example}")
             raise ReducibleChainError(
                 "configuration chain is reducible; the long-run average "
                 f"depends on the initial state ({len(closed)} closed classes: "
@@ -389,8 +349,11 @@ def policy_stationary(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
     if len(classes) != 1:
         parts = []
         for cls in classes:
-            example = mdp.state(int(cls[0]))
-            parts.append(f"{len(cls)} states incl. {example}")
+            c, r = divmod(int(cls[0]), R)
+            config = format_counts(space.counts[c])
+            parts.append(
+                f"{len(cls)} states incl. (config={config}, held={space.routes[r]})"
+            )
         raise ReducibleChainError(
             f"policy induces {len(classes)} closed classes: " + "; ".join(parts),
             classes=classes,

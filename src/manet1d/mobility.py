@@ -23,8 +23,8 @@ from .grid import (
     Boundary,
     Configuration,
     NetworkParams,
-    enumerate_configurations,
-    rank_counts,
+    configuration_rows,
+    format_counts,
 )
 
 DEFAULT_SPLIT_LIMIT = 10**6
@@ -48,10 +48,10 @@ class NodeKernel:
 
 @dataclass(frozen=True)
 class ConfigKernel:
-    """Transition matrix of the occupancy-count chain, dense over the
-    configuration list in enumeration order."""
+    """Transition matrix of the occupancy-count chain, dense; rows and
+    columns follow the configuration_rows order (grid.rank_counts gives
+    the index of an occupancy vector)."""
 
-    configs: tuple[Configuration, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -67,9 +67,6 @@ class ConfigKernel:
     def classes(self) -> list[np.ndarray]:
         """Closed classes of the configuration chain (see closed_classes)."""
         return closed_classes(self.csr)
-
-    def index(self, config: Configuration) -> int:
-        return int(rank_counts([config.counts], sum(config.counts))[0])
 
 
 def move_targets(params: NetworkParams) -> np.ndarray:
@@ -197,13 +194,13 @@ def _config_kernel_cached(
     config_limit: int,
 ) -> ConfigKernel:
     params = NetworkParams(K=K, N=N, p_l=p_l, p_r=p_r, boundary=boundary)
-    configs = tuple(enumerate_configurations(params))
-    C = len(configs)
+    rows = configuration_rows(params).tolist()
+    C = len(rows)
     if C > config_limit:
         raise EnumerationLimitError(
             f"{C} configurations exceed the kernel size limit {config_limit}"
         )
-    index = {c.counts: i for i, c in enumerate(configs)}
+    index = {tuple(row): i for i, row in enumerate(rows)}
     targets = move_targets(params)
     probs = (params.p_l, params.p_t, params.p_r)
 
@@ -227,17 +224,17 @@ def _config_kernel_cached(
         splits_for.append(splits)
 
     P = np.zeros((C, C))
-    for i, config in enumerate(configs):
+    for i, row in enumerate(rows):
         cross = 1
-        for n in config.counts:
+        for n in row:
             cross *= len(splits_for[n])
             if cross > split_limit:
                 raise EnumerationLimitError(
                     f"per-position split cross-product exceeds {split_limit} "
-                    f"for configuration {config}"
+                    f"for configuration {format_counts(row)}"
                 )
         partial: dict[tuple[int, ...], float] = {(0,) * K: 1.0}
-        for p, n in enumerate(config.counts):
+        for p, n in enumerate(row):
             if n == 0:
                 continue
             nxt: dict[tuple[int, ...], float] = {}
@@ -254,7 +251,7 @@ def _config_kernel_cached(
             partial = nxt
         for vec, pr in partial.items():
             P[i, index[vec]] += pr
-    return ConfigKernel(configs=configs, matrix=P)
+    return ConfigKernel(matrix=P)
 
 
 def config_kernel(

@@ -20,6 +20,7 @@ from manet1d import (
     PolicyEvaluator,
     SimConfig,
     build_mdp,
+    enumerate_configurations,
     expected_raw_throughput,
     report_exact,
     route_break_policy,
@@ -176,7 +177,7 @@ class TestAcceptance:
         kernel = config_kernel(params)
         pi = dense_stationary(kernel.matrix)
         multinomial = np.array(
-            [config_stationary_prob(c, params) for c in kernel.configs]
+            [config_stationary_prob(c, params) for c in enumerate_configurations(params)]
         )
         worst = float(np.abs(pi - multinomial).max())
         assert worst < 1e-8

@@ -364,6 +364,35 @@ class TestErrorPaths:
         assert err.startswith("error: value iteration did not reach span")
         assert "Traceback" not in err
 
+    def test_state_space_guard_exits_2_before_allocating(self, tmp_path):
+        # 705,432 configurations x 1,706 routes would need about 9 GiB of
+        # (C, R) arrays; the child runs under a 3 GiB address-space cap so
+        # that a missing guard fails with MemoryError instead
+        path = write_config(
+            tmp_path, "K=12\nN=11\nm=3\nrates=1,0.5,0.25\np_l=0.3\np_r=0.3\nphi=0\n"
+        )
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from manet1d.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "sys.stderr.write(f'maxrss_kib={rss}\\n')\n"
+            "raise SystemExit(code)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(manet1d.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", child, "analyze", path],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        err = done.stderr.splitlines()
+        assert done.returncode == 2, done.stderr
+        assert err[0].startswith("error: 705432 configurations x 1706 routes")
+        assert "state-space size limit" in err[0]
+        assert int(err[-1].removeprefix("maxrss_kib=")) < 300 * 1024
+
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main([])

@@ -1,5 +1,7 @@
 """Grid model: parameters, configurations, route enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from manet1d import (
     hop_rate,
     route_supported,
 )
-from manet1d.grid import rank_counts
+from manet1d.grid import configuration_rows, rank_counts
 
 # Route census for K=4, m=2, written out by hand (nearest-extension
 # depth-first order), with the null route last.
@@ -135,6 +137,8 @@ class TestConfigurations:
         p = NetworkParams(K=5, N=9)
         with pytest.raises(EnumerationLimitError):
             enumerate_configurations(p, limit=100)
+        with pytest.raises(EnumerationLimitError, match="20030010 configurations"):
+            configuration_rows(NetworkParams(K=20, N=10))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -222,6 +226,14 @@ def test_rank_counts_is_the_enumeration_index():
             configs = enumerate_configurations(NetworkParams(K=K, N=N))
             counts = np.array([c.counts for c in configs])
             assert rank_counts(counts, N).tolist() == list(range(len(configs)))
+            # independently: every multiset of N positions, counted per
+            # position and sorted
+            multisets = itertools.combinations_with_replacement(range(K), N)
+            independent = sorted(
+                tuple(np.bincount(np.array(ms, dtype=int), minlength=K).tolist())
+                for ms in multisets
+            )
+            assert [c.counts for c in configs] == independent
 
 
 @pytest.mark.parametrize("row", [(1, 0, 0), (2, 1, 0), (3, -1, 0)])

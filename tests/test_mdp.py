@@ -14,6 +14,7 @@ from manet1d import (
     PolicyEvaluator,
     ReducibleChainError,
     build_mdp,
+    enumerate_configurations,
     evaluate_policy,
     expected_raw_throughput,
     policy_stationary,
@@ -24,7 +25,7 @@ from manet1d import (
     threshold_policy,
 )
 from manet1d.errors import ConvergenceError
-from manet1d.mdp import PROPAGATION_MAX_ITER, MdpState
+from manet1d.mdp import PROPAGATION_MAX_ITER
 from manet1d.mobility import config_stationary_law
 from manet1d.policies import always_discover, never_discover
 
@@ -62,7 +63,7 @@ class TestStateSpace:
         from manet1d import best_route
 
         space = mdp33.space
-        for c, config in enumerate(space.configs):
+        for c, config in enumerate(enumerate_configurations(P33)):
             route, f = best_route(config, P33)
             assert space.routes[space.best_route_idx[c]] == route
             assert space.best_f[c] == pytest.approx(f, abs=1e-12)
@@ -71,7 +72,7 @@ class TestStateSpace:
         from manet1d import route_supported
 
         space = mdp33.space
-        for c, config in enumerate(space.configs):
+        for c, config in enumerate(enumerate_configurations(P33)):
             for r, route in enumerate(space.routes):
                 if route_supported(route, config):
                     assert space.cont_f[c, r] == pytest.approx(
@@ -79,12 +80,6 @@ class TestStateSpace:
                     )
                 else:
                     assert space.cont_f[c, r] == 0.0
-
-    def test_state_round_trip(self, mdp33):
-        for s in range(0, mdp33.n_states, 7):
-            state = mdp33.state(s)
-            assert isinstance(state, MdpState)
-            assert mdp33.state_index(state) == s
 
     def test_state_limit_guard(self):
         with pytest.raises(EnumerationLimitError):
@@ -228,22 +223,21 @@ class TestEvaluatePolicy:
         gain = evaluate_policy(mdp, route_break_policy(mdp))
         assert gain == pytest.approx((0.75 + 0.25 * 0.5) / 3, abs=1e-12)
 
-    def test_callable_policy_matches_table(self, mdp33):
+    def test_threshold_table_matches_per_state_rule(self, mdp33):
         theta = rule_threshold(P33, 2.0)
-        table = threshold_policy(mdp33, theta)
 
         from manet1d import route_supported, route_throughput
 
-        def fn(state):
-            if state.held.is_null or not route_supported(state.held, state.config):
-                observed = 0.0
-            else:
-                observed, _ = route_throughput(state.held, P33)
-            return observed < theta or observed == 0.0
+        want = np.zeros((mdp33.space.n_configs, mdp33.space.n_routes), dtype=bool)
+        for c, config in enumerate(enumerate_configurations(P33)):
+            for r, route in enumerate(mdp33.space.routes):
+                if route.is_null or not route_supported(route, config):
+                    observed = 0.0
+                else:
+                    observed, _ = route_throughput(route, P33)
+                want[c, r] = observed < theta or observed == 0.0
 
-        assert evaluate_policy(mdp33, fn) == pytest.approx(
-            evaluate_policy(mdp33, table), abs=1e-12
-        )
+        assert np.array_equal(threshold_policy(mdp33, theta), want)
 
     def test_never_discover_is_reducible_by_design(self, mdp33):
         with pytest.raises(ReducibleChainError) as exc:
@@ -319,19 +313,6 @@ class TestPolicyEvaluator:
         assert evaluator.gain(sol33.action, phi=P33.phi) == pytest.approx(
             sol33.gain, abs=1e-6
         )
-
-
-@given(s=st.integers(min_value=0, max_value=59))
-@settings(max_examples=60, deadline=None)
-def test_state_indexing_round_trip(s):
-    mdp = build_mdp(NetworkParams(K=3, N=3))
-    assert mdp.state_index(mdp.state(s)) == s
-
-
-def test_state_rendering():
-    mdp = build_mdp(NetworkParams(K=2, N=1))
-    text = str(mdp.state(0))
-    assert "config=" in text and "held=" in text
 
 
 @st.composite
@@ -414,3 +395,28 @@ def test_policy_stationary_matches_full_chain_oracle(case):
     assert abs(float((pi * rewards).sum()) - float((want * rewards).sum())) <= tol
     mu = config_stationary_law(mdp.space.counts, params)
     assert np.abs(pi.sum(axis=1) - mu).max() <= tol
+
+
+def test_reducible_chain_messages_name_example_states():
+    # the exact texts, so that configurations and states keep rendering
+    # the same way in error messages
+    mdp = build_mdp(NetworkParams(K=2, N=1, phi=0.3))
+    with pytest.raises(ReducibleChainError) as exc:
+        evaluate_policy(mdp, never_discover(mdp))
+    assert str(exc.value) == (
+        "policy induces 4 closed classes: "
+        "2 states incl. (config=[0 1], held=(S,1,2,D)); "
+        "2 states incl. (config=[0 1], held=(S,1,D)); "
+        "2 states incl. (config=[0 1], held=(S,2,D)); "
+        "2 states incl. (config=[0 1], held=(null))"
+    )
+    frozen = build_mdp(NetworkParams(K=3, N=2, p_l=0.0, p_r=0.0))
+    with pytest.raises(ReducibleChainError) as exc:
+        solve_avg_reward(frozen)
+    assert str(exc.value) == (
+        "configuration chain is reducible; the long-run average depends on "
+        "the initial state (6 closed classes: 1 configs incl. [0 0 2]; "
+        "1 configs incl. [0 1 1]; 1 configs incl. [0 2 0]; "
+        "1 configs incl. [1 0 1]; 1 configs incl. [1 1 0]; "
+        "1 configs incl. [2 0 0])"
+    )

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from manet1d import (
     node_kernel,
     stationary_node_distribution,
 )
+from manet1d.grid import rank_counts
 from manet1d.mobility import move_targets
 
 
@@ -222,8 +224,7 @@ class TestConfigKernel:
     def test_single_node_two_positions(self):
         params = NetworkParams(K=2, N=1, p_l=0.5, p_r=0.5)
         kernel = config_kernel(params)
-        i = kernel.index(Configuration((1, 0)))
-        j = kernel.index(Configuration((0, 1)))
+        i, j = rank_counts([(1, 0), (0, 1)], 1)
         assert kernel.matrix[i, i] == pytest.approx(0.5)  # left move folds back
         assert kernel.matrix[i, j] == pytest.approx(0.5)
 
@@ -256,7 +257,7 @@ class TestConfigKernel:
         # empirical one-step frequencies out of [1,1,0] for two walkers
         params = NetworkParams(K=3, N=2, p_l=0.25, p_r=0.25)
         kernel = config_kernel(params)
-        row = kernel.matrix[kernel.index(Configuration((1, 1, 0)))]
+        row = kernel.matrix[rank_counts([(1, 1, 0)], 2)[0]]
 
         rng = np.random.default_rng(42)
         trials = 10**6
@@ -267,9 +268,8 @@ class TestConfigKernel:
         counts = np.zeros((trials, 3), dtype=np.int64)
         for node in range(2):
             np.add.at(counts, (np.arange(trials), pos[:, node]), 1)
-        index = {c.counts: i for i, c in enumerate(kernel.configs)}
-        ids = np.array([index[tuple(c)] for c in counts])
-        empirical = np.bincount(ids, minlength=len(kernel.configs)) / trials
+        ids = rank_counts(counts, 2)
+        empirical = np.bincount(ids, minlength=len(row)) / trials
         assert np.abs(empirical - row).max() < 0.005
 
     @pytest.mark.parametrize(
@@ -284,7 +284,7 @@ class TestConfigKernel:
         kernel = config_kernel(params)
         pi = stationary_of(kernel.matrix)
         want = np.array(
-            [config_stationary_prob(c, params) for c in kernel.configs]
+            [config_stationary_prob(c, params) for c in enumerate_configurations(params)]
         )
         assert np.abs(pi - want).max() < 1e-8
 
@@ -295,6 +295,14 @@ class TestConfigKernel:
     def test_split_limit_guard(self):
         with pytest.raises(EnumerationLimitError):
             config_kernel(NetworkParams(K=4, N=8), split_limit=10)
+        with pytest.raises(
+            EnumerationLimitError,
+            match=re.escape(
+                "per-position split cross-product exceeds 5 "
+                "for configuration [0 0 3]"
+            ),
+        ):
+            config_kernel(NetworkParams(K=3, N=3), split_limit=5)
 
     def test_matrices_are_read_only(self):
         kernel = config_kernel(NetworkParams(K=2, N=1))

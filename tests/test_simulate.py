@@ -17,6 +17,7 @@ from manet1d import (
     PolicyEvaluator,
     SimConfig,
     build_mdp,
+    enumerate_configurations,
     expected_raw_throughput,
     report_exact,
     rule_threshold,
@@ -346,9 +347,10 @@ class TestConfigVisits:
         # with p_r > p_l on a stuck line the node piles up on the right:
         # stationary odds 1 : 3 : 9
         params = NetworkParams(K=3, N=1, p_l=0.1, p_r=0.3)
-        space = state_space(params)
         visits = simulate_config_visits(params, slots=10**6, seed=2)
-        position_of = [int(np.argmax(c.counts)) for c in space.configs]
+        position_of = [
+            int(np.argmax(c.counts)) for c in enumerate_configurations(params)
+        ]
         expected = np.array([[1 / 13, 3 / 13, 9 / 13][k] for k in position_of])
         assert tv_distance(visits, expected) < 0.01
 
@@ -360,10 +362,9 @@ class TestConfigVisits:
         ],
     )
     def test_visits_match_stationary_law(self, params):
-        space = state_space(params)
         visits = simulate_config_visits(params, slots=300_000, seed=3)
         probs = np.array(
-            [config_stationary_prob(c, params) for c in space.configs]
+            [config_stationary_prob(c, params) for c in enumerate_configurations(params)]
         )
         assert tv_distance(visits, probs) < 0.01
 
