@@ -154,16 +154,16 @@ def build_mdp(
     params: NetworkParams, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> Mdp:
     """Assemble the decision process for the given parameters. Raises
-    EnumerationLimitError when |configs| x |routes| exceeds state_limit."""
-    space = state_space(params)
-    n_states = space.n_configs * space.n_routes
-    if n_states > state_limit:
+    EnumerationLimitError when |configs| x |routes| exceeds state_limit,
+    before the state space is built."""
+    C = configuration_count(params)
+    R = len(_route_table(params.K, params.m, params.rates)[0])
+    if C * R > state_limit:
         raise EnumerationLimitError(
-            f"{space.n_configs} configurations x {space.n_routes} routes "
-            f"= {n_states} states exceed the state limit {state_limit}"
+            f"{C} configurations x {R} routes "
+            f"= {C * R} states exceed the state limit {state_limit}"
         )
-    kernel = config_kernel(params)
-    return Mdp(space=space, kernel=kernel, params=params)
+    return Mdp(space=state_space(params), kernel=config_kernel(params), params=params)
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def solve_avg_reward(
     never mixes); such kernels raise ReducibleChainError immediately.
     """
     space = mdp.space
-    P = mdp.kernel.csr
+    P = mdp.kernel.matrix
     r_disc = mdp.reward_discover
     r_cont = mdp.reward_continue
     br = space.best_route_idx
@@ -306,7 +306,7 @@ def _policy_classes(mdp: Mdp, actions: np.ndarray, held: np.ndarray, best: np.nd
     """
     space = mdp.space
     C, R = space.n_configs, space.n_routes
-    P = mdp.kernel.csr
+    P = mdp.kernel.matrix
     held_classes = closed_classes(_held_route_chain(P, actions[:, held], best))
     classes = [np.sort(cls % C * R + held[cls // C]) for cls in held_classes]
     others = np.setdiff1d(np.arange(R), held)
@@ -372,7 +372,7 @@ def policy_stationary(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
     x[~on_class] = 0.0
 
     disc = actions[:, held]
-    PT = mdp.kernel.csr.T
+    PT = mdp.kernel.matrix.T
     lazy = _may_be_periodic(mdp.params)
     for it in range(1, PROPAGATION_MAX_ITER + 1):
         moved = np.where(disc, 0.0, x)
@@ -396,9 +396,7 @@ def policy_stationary(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
 
 def evaluate_policy(mdp: Mdp, policy) -> float:
     """Exact long-run average reward of a stationary policy."""
-    actions = mdp.materialize_policy(policy)
-    pi = policy_stationary(mdp, actions)
-    return float((pi * mdp.rewards(actions)).sum())
+    return PolicyEvaluator(mdp).gain(policy)
 
 
 class PolicyEvaluator:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix, issparse
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import EnumerationLimitError, ReducibleChainError
 from .grid import (
@@ -48,25 +48,22 @@ class NodeKernel:
 
 @dataclass(frozen=True)
 class ConfigKernel:
-    """Transition matrix of the occupancy-count chain, dense; rows and
-    columns follow the configuration_rows order (grid.rank_counts gives
-    the index of an occupancy vector)."""
+    """Transition matrix of the occupancy-count chain in CSR form, with
+    sorted column indices and exactly its nonzero entries stored; rows
+    and columns follow the configuration_rows order (grid.rank_counts
+    gives the index of an occupancy vector). Its `.T` view serves
+    products with the transpose."""
 
-    matrix: np.ndarray
+    matrix: csr_matrix
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @cached_property
-    def csr(self) -> csr_matrix:
-        """The same matrix in CSR form, built on first use. Its `.T` view
-        serves products with the transpose, so no second copy is kept."""
-        return csr_matrix(self.matrix)
+        for arr in (self.matrix.data, self.matrix.indices, self.matrix.indptr):
+            arr.setflags(write=False)
 
     @cached_property
     def classes(self) -> list[np.ndarray]:
         """Closed classes of the configuration chain (see closed_classes)."""
-        return closed_classes(self.csr)
+        return closed_classes(self.matrix)
 
 
 def move_targets(params: NetworkParams) -> np.ndarray:
@@ -100,13 +97,11 @@ def node_kernel(params: NetworkParams) -> NodeKernel:
     return NodeKernel(matrix=P)
 
 
-def closed_classes(P) -> list[np.ndarray]:
+def closed_classes(G: csr_matrix) -> list[np.ndarray]:
     """Closed classes of a Markov chain: its strongly connected
-    components with no edge leaving them. P is a dense array, whose
-    nonzero entries are the edges, or a scipy sparse matrix, whose
-    stored entries are. Each class is a sorted array of state indices,
-    and the classes come ordered by their smallest state."""
-    G = csr_matrix(P) if issparse(P) else csr_matrix(np.asarray(P) != 0)
+    components with no edge leaving them. The stored entries of the
+    CSR matrix G are the edges. Each class is a sorted array of state
+    indices, and the classes come ordered by their smallest state."""
     n_comp, labels = csgraph.connected_components(
         G, directed=True, connection="strong"
     )
@@ -144,7 +139,7 @@ def stationary_node_distribution(kernel: NodeKernel) -> np.ndarray:
     P = kernel.matrix
     if P.shape[0] == 1:
         return np.array([1.0])
-    closed = closed_classes(P)
+    closed = closed_classes(csr_matrix(P))
     if len(closed) != 1:
         raise ReducibleChainError(
             f"node kernel has {len(closed)} closed classes", classes=closed
@@ -223,8 +218,10 @@ def _config_kernel_cached(
                     splits.append((a, b, c, w))
         splits_for.append(splits)
 
-    P = np.zeros((C, C))
-    for i, row in enumerate(rows):
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for row in rows:
         cross = 1
         for n in row:
             cross *= len(splits_for[n])
@@ -249,8 +246,14 @@ def _config_kernel_cached(
                     key = tuple(dest)
                     nxt[key] = nxt.get(key, 0.0) + pr * w
             partial = nxt
-        for vec, pr in partial.items():
-            P[i, index[vec]] += pr
+        indices += map(index.__getitem__, partial)
+        data += partial.values()
+        indptr.append(len(indices))
+    P = csr_matrix((data, indices, indptr), shape=(C, C))
+    # each row's destinations are distinct; order them by column and
+    # drop products that underflowed to zero
+    P.sort_indices()
+    P.eliminate_zeros()
     return ConfigKernel(matrix=P)
 
 
@@ -261,9 +264,10 @@ def config_kernel(
 ) -> ConfigKernel:
     """Exact transition kernel of the configuration chain.
 
+    The kernel is built row by row and stored sparse (see ConfigKernel).
     Guards: raises EnumerationLimitError when a row would need more than
     `split_limit` split combinations or when the configuration count
-    exceeds `config_limit` (the kernel is stored dense).
+    exceeds `config_limit` (the per-row Python build bounds the size).
     """
     return _config_kernel_cached(
         params.K,

@@ -4,14 +4,15 @@ The simulator tracks the N individual node positions (the physical
 process) over a chunk of slots at once with an exact time-parallel walk
 (_walk), ranks each slot's occupancy configuration, then applies the
 policy slot by slot and accrues net reward. Replication r draws from a
-counter-based Philox stream keyed with seed XOR r, so every run is
-reproducible and replications are independent.
+counter-based Philox stream whose 128-bit key is the seed in the low 64
+bits and r in the high 64 bits, so every run is reproducible and no two
+(seed, replication) pairs share a stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +64,10 @@ class SimConfig:
             raise ConfigError(
                 f"replications must be a positive integer, got {self.replications!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+            raise ConfigError(
+                f"seed must be an integer in [0, 2**64), got {self.seed!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def _slot_loop(
 
 
 def _rng_for(seed: int, replication: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed ^ replication))
+    return np.random.Generator(np.random.Philox(key=seed | (replication << 64)))
 
 
 def simulate_config_visits(
@@ -265,25 +268,15 @@ def simulate(cfg: SimConfig, observe: str = "current") -> PolicyReport:
 
     if observe not in ("current", "prev"):
         raise ConfigError(f"observe must be 'current' or 'prev', got {observe!r}")
-    mode = 0
-    theta: float | None
-    if observe == "prev":
-        if spec.kind not in ("rule", "fixed", "route-break"):
-            raise ConfigError(
-                "observe='prev' applies only to threshold policies "
-                "(rule:x, fixed:theta, route-break)"
-            )
-        mode = 1
-        if spec.kind == "route-break":
-            theta = 0.0
-        elif spec.kind == "fixed":
-            theta = spec.value
-        else:
-            theta = ThresholdRule.for_params(params, x=spec.value).theta
-        actions = np.zeros((space.n_configs, space.n_routes), dtype=np.uint8)
-    else:
-        table, theta = resolve_policy(spec, params)
-        actions = table.astype(np.uint8)
+    if observe == "prev" and spec.kind not in ("rule", "fixed", "route-break"):
+        raise ConfigError(
+            "observe='prev' applies only to threshold policies "
+            "(rule:x, fixed:theta, route-break)"
+        )
+    # the previous-slot rule reads only theta, never the table
+    mode = 1 if observe == "prev" else 0
+    table, theta = resolve_policy(spec, params)
+    actions = table.astype(np.uint8)
 
     best_idx = space.best_route_idx
     best_f = space.best_f
@@ -396,18 +389,14 @@ def sweep_phi(base: SimConfig, phis, policies) -> SweepResult:
 
 
 def report_exact(cfg: SimConfig) -> PolicyReport:
-    """Exact gain of the configured policy (the `eval` entry point)."""
-    spec = parse_policy_spec(cfg.policy)
-    mdp = build_mdp(cfg.params)
-    evaluator = PolicyEvaluator(mdp)
-    actions, theta = resolve_policy(spec, cfg.params, mdp=mdp, evaluator=evaluator)
-    gain = evaluator.gain(actions, phi=cfg.params.phi)
-    freq = evaluator.discovery_frequency(actions)
+    """Exact gain of the configured policy (the `eval` entry point): a
+    one-phi, one-policy sweep_phi."""
+    (row,) = sweep_phi(cfg, [cfg.params.phi], [cfg.policy]).rows
     return PolicyReport(
-        policy=spec.label(),
+        policy=row.policy,
         params=cfg.params,
-        exact_gain=gain,
-        threshold=theta,
-        discovery_frequency=freq,
+        exact_gain=row.gain,
+        threshold=row.threshold,
+        discovery_frequency=row.discovery_frequency,
         seed=cfg.seed,
     )

@@ -50,6 +50,31 @@ def write_config(tmp_path, text, name="net.cfg"):
     return str(path)
 
 
+def run_capped_cli(*argv):
+    """Run the CLI in a child process under a 3 GiB address-space cap.
+    Returns the completed process and the child's own peak RSS in KiB,
+    read from VmHWM: ru_maxrss would survive the exec and report the
+    peak of the process that spawned the child."""
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from manet1d.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = [l.split()[1] for l in fh if l.startswith('VmHWM:')][0]\n"
+        "sys.stderr.write(f'vmhwm_kib={hwm}\\n')\n"
+        "raise SystemExit(code)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(manet1d.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    return done, int(done.stderr.splitlines()[-1].removeprefix("vmhwm_kib="))
+
+
 class TestConfigText:
     def test_full_round_trip(self):
         cfg = parse_config_text(
@@ -371,27 +396,27 @@ class TestErrorPaths:
         path = write_config(
             tmp_path, "K=12\nN=11\nm=3\nrates=1,0.5,0.25\np_l=0.3\np_r=0.3\nphi=0\n"
         )
-        child = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
-            "from manet1d.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "sys.stderr.write(f'maxrss_kib={rss}\\n')\n"
-            "raise SystemExit(code)\n"
-        )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        src = str(Path(manet1d.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", child, "analyze", path],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        done, peak_kib = run_capped_cli("analyze", path)
         err = done.stderr.splitlines()
         assert done.returncode == 2, done.stderr
         assert err[0].startswith("error: 705432 configurations x 1706 routes")
         assert "state-space size limit" in err[0]
-        assert int(err[-1].removeprefix("maxrss_kib=")) < 300 * 1024
+        assert peak_kib < 300 * 1024
+
+    def test_state_limit_trips_before_the_state_space_is_built(self, tmp_path):
+        # 12,376 configurations x 1,706 routes is under the state-space
+        # size limit, so building the (C, R) arrays first would take about
+        # 190 MiB before the decision-process limit refused them
+        path = write_config(
+            tmp_path, "K=12\nN=6\nm=3\nrates=1,0.5,0.25\np_l=0.3\np_r=0.3\nphi=0\n"
+        )
+        done, peak_kib = run_capped_cli("solve", path, "--out", str(tmp_path / "p.csv"))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines()[0] == (
+            "error: 12376 configurations x 1706 routes = 21113456 states "
+            "exceed the state limit 200000"
+        )
+        assert peak_kib < 150 * 1024
 
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from manet1d import (
     Boundary,
@@ -257,7 +258,7 @@ class TestConfigKernel:
         # empirical one-step frequencies out of [1,1,0] for two walkers
         params = NetworkParams(K=3, N=2, p_l=0.25, p_r=0.25)
         kernel = config_kernel(params)
-        row = kernel.matrix[rank_counts([(1, 1, 0)], 2)[0]]
+        row = kernel.matrix.toarray()[rank_counts([(1, 1, 0)], 2)[0]]
 
         rng = np.random.default_rng(42)
         trials = 10**6
@@ -303,6 +304,22 @@ class TestConfigKernel:
             ),
         ):
             config_kernel(NetworkParams(K=3, N=3), split_limit=5)
+
+    def test_stored_as_csr_with_exactly_the_nonzero_entries(self):
+        # with p_l = p_r = 1e-200 some products across positions underflow
+        # to 0.0; the kernel stores none of them, in column order per row
+        params = NetworkParams(K=4, N=3, p_l=1e-200, p_r=1e-200)
+        P = config_kernel(params).matrix
+        assert isinstance(P, csr_matrix)
+        assert np.all(P.data != 0.0)
+        dense = P.toarray()
+        assert P.nnz == np.count_nonzero(dense)
+        for i in range(P.shape[0]):
+            cols = P.indices[P.indptr[i] : P.indptr[i + 1]]
+            assert np.all(np.diff(cols) > 0)
+            assert np.array_equal(cols, np.flatnonzero(dense[i]))
+        for arr in (P.data, P.indices, P.indptr):
+            assert not arr.flags.writeable
 
     def test_matrices_are_read_only(self):
         kernel = config_kernel(NetworkParams(K=2, N=1))

@@ -52,7 +52,7 @@ class TestExpectedRawThroughput:
         # p_l = 0 every node piles up at position K
         assume(abs(p_l - p_r) > 1e-3)
         params = NetworkParams(K=K, N=N, p_l=p_l, p_r=p_r)
-        P = config_kernel(params).matrix
+        P = config_kernel(params).matrix.toarray()
         A = P.T - np.eye(len(P))
         A[-1, :] = 1.0
         b = np.zeros(len(P))
