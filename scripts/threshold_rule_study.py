@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         rb_table = route_break_policy(mdp)
         v0 = None
         for phi in phis:
-            sol = solve_avg_reward(mdp.with_phi(phi), v0=v0)
+            sol = solve_avg_reward(mdp.with_phi(phi), v0=v0, held_only=True)
             v0 = sol.bias
             _, gain_bt = best_threshold_search(mdp.with_phi(phi), evaluator)
             theta = rule_threshold(params.with_phi(phi), args.x)

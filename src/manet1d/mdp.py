@@ -11,12 +11,15 @@ component moves by the exact occupancy kernel regardless of the action,
 so a transition matrix never has to be materialised for the optimiser:
 one sparse (CSR) config-kernel product per sweep suffices.
 
-Exact policy evaluation uses the same structure. The held route only
-ever changes to the configuration's best route, so the distinct best
-routes (the held-route columns) are closed under every policy. The
-closed-class verdict needs the induced chain on those columns only, and
-the stationary law is propagated there matrix-free with the kernel's
-transpose.
+The held route only ever changes to the configuration's best route, so
+the distinct best routes (the held-route columns) are closed under every
+policy. Relative value iteration can therefore run on those columns and
+the null route a run starts on (held_only), which is what the sweep,
+evaluation and simulation paths do; a full-width solve gives every
+state's action and bias. Exact policy evaluation uses the same
+structure: the closed-class verdict needs the induced chain on the
+held-route columns only, and the stationary law is propagated there
+matrix-free with the kernel's transpose.
 
 Policies are boolean arrays of shape (configs, routes), True = discover.
 """
@@ -168,8 +171,18 @@ def build_mdp(
 
 @dataclass(frozen=True)
 class MdpSolution:
+    """Result of relative value iteration.
+
+    bias holds the relative values of the iterated columns only: routes
+    gives their route indices, so bias[:, j] is the column of route
+    routes[j]. A full-width solve iterates every route; a held-only
+    solve iterates the holdable routes, and its action table is True
+    (discover) on every other column.
+    """
+
     gain: float
-    bias: np.ndarray  # (C, R) relative values
+    bias: np.ndarray  # (C, len(routes)) relative values
+    routes: np.ndarray  # route index of each bias column
     action: np.ndarray  # (C, R) bool, True = discover
     iterations: int
     span: float
@@ -181,11 +194,46 @@ def _may_be_periodic(params: NetworkParams) -> bool:
     return params.boundary is Boundary.WRAP and params.p_t <= 1e-15
 
 
+def _holdable_routes(space: StateSpace) -> np.ndarray:
+    """The routes a run can hold: the null route it starts on and the
+    distinct best routes (R'), sorted."""
+    return np.union1d(space.best_route_idx, [space.null_route_idx])
+
+
+def _rvi(P, r_cont, r_disc, best, tau, epsilon, max_iter, V):
+    """Relative value iteration on a block of held-route columns that is
+    closed under discovery: r_cont is the (C, W) continue reward of the
+    columns, best each configuration's best route as a column of the
+    block and V the (C, W) start. Returns (gain, bias, action on the
+    block, iterations, span)."""
+    rows = np.arange(P.shape[0])
+    eps = epsilon * tau
+    for it in range(1, max_iter + 1):
+        M = P @ V
+        q_cont = r_cont + M
+        q_disc = r_disc + M[rows, best]
+        T0V = np.maximum(q_cont, q_disc[:, None])
+        TV = T0V if tau == 1.0 else (1.0 - tau) * V + tau * T0V
+        delta = TV - V
+        lo = float(delta.min())
+        hi = float(delta.max())
+        if hi - lo < eps:
+            gain = 0.5 * (lo + hi) / tau
+            action = q_disc[:, None] > q_cont
+            return gain, TV - TV[0, 0], action, it, (hi - lo) / tau
+        V = TV - TV[0, 0]
+    raise ConvergenceError(
+        f"value iteration did not reach span {epsilon} within {max_iter} sweeps "
+        f"(span {hi - lo:.3e})"
+    )
+
+
 def solve_avg_reward(
     mdp: Mdp,
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
     v0: np.ndarray | None = None,
+    held_only: bool = False,
 ) -> MdpSolution:
     """Relative value iteration.
 
@@ -193,6 +241,17 @@ def solve_avg_reward(
     state, and stops when the span of the value increment falls below
     epsilon; the gain estimate is the midpoint of the increment bounds
     (error at most epsilon / 2). Ties between actions go to continue.
+
+    With held_only, the iteration runs on the holdable columns only: the
+    null route and the distinct best routes. Continue keeps a column and
+    discover moves to the configuration's best route, so those columns
+    are closed under the Bellman operator and their values and actions
+    are those of the full problem; a run that starts on the null route
+    never holds any other. Every other column of the action table is
+    True (discover), which leaves the induced chain's stationary law,
+    and so the exact gain, unchanged. bias and v0 then have one column
+    per entry of MdpSolution.routes. The default iterates every route,
+    for callers that read every state's action and bias.
 
     A half-lazy aperiodicity transform is applied when the mobility
     kernel can be periodic (WRAP with p_t = 0); it preserves the optimal
@@ -204,10 +263,6 @@ def solve_avg_reward(
     never mixes); such kernels raise ReducibleChainError immediately.
     """
     space = mdp.space
-    P = mdp.kernel.matrix
-    r_disc = mdp.reward_discover
-    r_cont = mdp.reward_continue
-    br = space.best_route_idx
 
     if space.n_configs > 1:
         closed = mdp.kernel.classes
@@ -223,38 +278,32 @@ def solve_avg_reward(
                 classes=closed,
             )
 
+    C, R = space.n_configs, space.n_routes
+    routes = _holdable_routes(space) if held_only else np.arange(R)
+    if v0 is None:
+        V = np.zeros((C, routes.size))
+    else:
+        V = np.array(v0, dtype=float)
+        if V.shape != (C, routes.size):
+            raise ValueError(f"v0 must have shape {(C, routes.size)}, got {V.shape}")
+
     # Half-lazy transform TV = (1 - tau) V + tau T0(V): same optimal
     # actions, gain scaled by tau, and the iteration cannot cycle on a
     # periodic kernel (WRAP with p_t = 0 is periodic or a rotation).
     tau = 0.5 if _may_be_periodic(mdp.params) else 1.0
 
-    C = space.n_configs
-    rows = np.arange(C)
-    V = np.zeros((C, space.n_routes)) if v0 is None else np.array(v0, dtype=float)
-    eps = epsilon * tau
-    for it in range(1, max_iter + 1):
-        M = P @ V
-        q_cont = r_cont + M
-        q_disc = r_disc + M[rows, br]
-        T0V = np.maximum(q_cont, q_disc[:, None])
-        TV = T0V if tau == 1.0 else (1.0 - tau) * V + tau * T0V
-        delta = TV - V
-        lo = float(delta.min())
-        hi = float(delta.max())
-        if hi - lo < eps:
-            gain = 0.5 * (lo + hi) / tau
-            action = q_disc[:, None] > q_cont
-            return MdpSolution(
-                gain=gain,
-                bias=TV - TV[0, 0],
-                action=action,
-                iterations=it,
-                span=(hi - lo) / tau,
-            )
-        V = TV - TV[0, 0]
-    raise ConvergenceError(
-        f"value iteration did not reach span {epsilon} within {max_iter} sweeps "
-        f"(span {hi - lo:.3e})"
+    gain, bias, block, iterations, span = _rvi(
+        mdp.kernel.matrix,
+        mdp.reward_continue[:, routes],
+        mdp.reward_discover,
+        np.searchsorted(routes, space.best_route_idx),
+        tau, epsilon, max_iter, V,
+    )
+    action = np.ones((C, R), dtype=bool)
+    action[:, routes] = block
+    return MdpSolution(
+        gain=gain, bias=bias, routes=routes, action=action,
+        iterations=iterations, span=span,
     )
 
 

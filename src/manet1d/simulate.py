@@ -137,7 +137,7 @@ def resolve_policy(
     if spec.kind == "optimal":
         if mdp is None:
             mdp = build_mdp(params)
-        solution = solve_avg_reward(mdp.with_phi(params.phi))
+        solution = solve_avg_reward(mdp.with_phi(params.phi), held_only=True)
         return solution.action, None
     if spec.kind == "best-threshold":
         if mdp is None:
@@ -365,7 +365,9 @@ def sweep_phi(base: SimConfig, phis, policies) -> SweepResult:
         mdp_phi = mdp.with_phi(float(phi))
         for spec in specs:
             if spec.kind == "optimal":
-                solution = solve_avg_reward(mdp_phi, v0=warm.get("optimal"))
+                solution = solve_avg_reward(
+                    mdp_phi, v0=warm.get("optimal"), held_only=True
+                )
                 warm["optimal"] = solution.bias
                 actions, theta = solution.action, None
             else:

@@ -15,7 +15,14 @@ import math
 
 import numpy as np
 
-from manet1d import ConfigError, NetworkParams, SimConfig, state_space
+from manet1d import (
+    ConfigError,
+    NetworkParams,
+    SimConfig,
+    build_mdp,
+    solve_avg_reward,
+    state_space,
+)
 from manet1d.mobility import move_targets
 from manet1d.policies import PolicyReport, ThresholdRule
 from manet1d.simulate import _CHUNK, _rng_for, parse_policy_spec, resolve_policy
@@ -173,6 +180,11 @@ def simulate(cfg: SimConfig, observe: str = "current") -> PolicyReport:
         else:
             theta = ThresholdRule.for_params(params, x=spec.value).theta
         actions = np.zeros((space.n_configs, space.n_routes), dtype=np.uint8)
+    elif spec.kind == "optimal":
+        # the full-width solve, so that the library's held-only table is
+        # checked against an independent one
+        table, theta = solve_avg_reward(build_mdp(params)).action, None
+        actions = table.astype(np.uint8)
     else:
         table, theta = resolve_policy(spec, params)
         actions = table.astype(np.uint8)

@@ -197,6 +197,20 @@ class TestSolveAvgReward:
         assert sol33.action.dtype == bool
         assert sol33.span < 1e-8
         assert sol33.iterations >= 1
+        assert np.array_equal(sol33.routes, np.arange(R))
+
+    def test_held_only_width_and_warm_start(self, mdp33, sol33):
+        space = mdp33.space
+        held = solve_avg_reward(mdp33, held_only=True)
+        H = np.union1d(space.best_route_idx, [space.null_route_idx])
+        assert np.array_equal(held.routes, H)
+        assert held.bias.shape == (space.n_configs, H.size)
+        warm = solve_avg_reward(mdp33, v0=held.bias, held_only=True)
+        assert np.array_equal(warm.action, held.action)
+        assert warm.iterations <= held.iterations
+        # a full-width bias does not fit the held-only columns
+        with pytest.raises(ValueError, match="v0 must have shape"):
+            solve_avg_reward(mdp33, v0=sol33.bias, held_only=True)
 
 
 class TestEvaluatePolicy:
@@ -395,6 +409,52 @@ def test_policy_stationary_matches_full_chain_oracle(case):
     assert abs(float((pi * rewards).sum()) - float((want * rewards).sum())) <= tol
     mu = config_stationary_law(mdp.space.counts, params)
     assert np.abs(pi.sum(axis=1) - mu).max() <= tol
+
+
+@given(case=chain_cases())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_held_only_solve_matches_full_width(case):
+    params, _, _ = case
+    mdp = build_mdp(params)
+    try:
+        full = solve_avg_reward(mdp)
+    except ReducibleChainError:
+        with pytest.raises(ReducibleChainError):
+            solve_avg_reward(mdp, held_only=True)
+        return
+    held = solve_avg_reward(mdp, held_only=True)
+    space = mdp.space
+    C, R = space.n_configs, space.n_routes
+    H = np.union1d(space.best_route_idx, [space.null_route_idx])
+    assert np.array_equal(held.routes, H)
+    assert held.bias.shape == (C, H.size)
+    assert held.action.shape == (C, R)
+    assert (held.action[:, H] == full.action[:, H]).all()
+    assert held.action[:, np.setdiff1d(np.arange(R), H)].all()
+    # both midpoints lie within half their span of the optimal gain
+    assert abs(held.gain - full.gain) <= 0.5 * (held.span + full.span) + 1e-15
+
+    evaluator = PolicyEvaluator(mdp)
+    try:
+        want = evaluator.gain(full.action)
+    except ReducibleChainError as e:
+        # the full-width table may also keep a route outside H forever
+        # on a closed configuration class K; those classes K x {r} are
+        # never reached from the null route, and the classes in the H
+        # columns are those of the held-only table
+        inside = [cls for cls in e.classes if np.isin(cls % R, H).all()]
+        outside = [cls for cls in e.classes if not np.isin(cls % R, H).any()]
+        assert len(inside) + len(outside) == len(e.classes)
+        try:
+            pi = policy_stationary(mdp, held.action)
+        except ReducibleChainError as h:
+            got = [tuple(cls.tolist()) for cls in h.classes]
+            assert got == [tuple(cls.tolist()) for cls in inside]
+        else:
+            assert len(inside) == 1
+            assert np.isin(np.flatnonzero(pi), inside[0]).all()
+        return
+    assert evaluator.gain(held.action) == want
 
 
 def test_reducible_chain_messages_name_example_states():
