@@ -17,9 +17,11 @@ policy. Relative value iteration can therefore run on those columns and
 the null route a run starts on (held_only), which is what the sweep,
 evaluation and simulation paths do; a full-width solve gives every
 state's action and bias. Exact policy evaluation uses the same
-structure: the closed-class verdict needs the induced chain on the
-held-route columns only, and the stationary law is propagated there
-matrix-free with the kernel's transpose.
+structure: the closed-class verdict is a reachability search on the
+held-route columns, and the stationary law is propagated there; both
+work on (configs, held routes) blocks through products with the
+configuration kernel and its transpose, so the induced chain is never
+built.
 
 Policies are boolean arrays of shape (configs, routes), True = discover.
 """
@@ -43,7 +45,6 @@ from .grid import (
 )
 from .mobility import (
     ConfigKernel,
-    closed_classes,
     config_kernel,
     config_stationary_law,
 )
@@ -319,26 +320,97 @@ def _held_routes(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     return held, np.searchsorted(held, space.best_route_idx)
 
 
-def _held_route_chain(P: csr_matrix, disc: np.ndarray, best: np.ndarray) -> csr_matrix:
-    """Pattern of the induced chain on the held-route columns: every
-    stored entry is 1.0, one per transition.
+def _held_closed_classes(
+    P: csr_matrix, disc: np.ndarray, best: np.ndarray, config_classes
+) -> list[np.ndarray]:
+    """Closed classes of the induced chain on the held-route columns,
+    numbered j * C + c, each sorted and ordered by its smallest state.
 
     disc is the (C, R') discover table on those columns and best each
-    configuration's best route as a column. State j * C + c moves to
-    (next column) * C + c' for every successor c' of c, so the rows of
-    column j are P's pattern with shifted column indices.
+    configuration's best route as a column, so state (c, j) moves to
+    (c', nxt[c, j]) for every successor c' of c, with nxt[c, j] = best[c]
+    where the table discovers and j elsewhere. Reachability is searched
+    on (C, R') 0/1 blocks with the kernel itself: a forward step moves
+    each state to its next column and takes P.T @ block > 0; a backward
+    step takes P @ block > 0 and gathers it at [c, nxt[c, j]]. P's
+    stored entries are positive, so these are exact tests on its
+    pattern, and no chain of nnz(P) * R' edges is ever built.
+
+    A closed class projects onto a closed class of the configuration
+    chain, so the search runs on those configurations only, one start
+    state for each of their classes at a time. From start v, with
+    F = fwd(v): if every state of F reaches v, F is a closed class;
+    otherwise v is transient and the next start is a state of F that
+    does not reach v. Either way every state of bwd(v) is out of all
+    other closed classes and is dropped; what is left stays
+    forward-closed.
     """
     C, n_held = disc.shape
-    n = C * n_held
-    itype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    nxt = np.where(disc, best[:, None], np.arange(n_held)[None, :]).astype(itype)
-    deg = np.diff(P.indptr)
-    src = np.repeat(np.arange(C), deg)
-    indices = (nxt[src].T * itype(C) + P.indices.astype(itype)).ravel()
-    indptr = np.concatenate([[0], np.cumsum(np.tile(deg, n_held))]).astype(itype)
-    # float64 data, so the component search need not convert a copy
-    data = np.ones(indices.size)
-    return csr_matrix((data, indices, indptr), shape=(n, n))
+    rows = np.arange(C)[:, None]
+    nxt = np.where(disc, best[:, None], np.arange(n_held)[None, :])
+    PT = P.T
+
+    def fwd(front):
+        moved = np.zeros((C, n_held))
+        cs, js = np.nonzero(front)
+        moved[cs, nxt[cs, js]] = 1.0
+        used = np.flatnonzero(moved.any(axis=0))
+        out = np.zeros((C, n_held), dtype=bool)
+        out[:, used] = PT @ moved[:, used] > 0
+        return out
+
+    def bwd(front):
+        used = np.flatnonzero(front.any(axis=0))
+        hit = np.zeros((C, n_held), dtype=bool)
+        hit[:, used] = P @ front[:, used].astype(float) > 0
+        return hit[rows, nxt]
+
+    def closure(step, seen, within):
+        front = seen
+        while front.any():
+            front = step(front) & within & ~seen
+            seen = seen | front
+        return seen
+
+    label = np.full(C, -1)
+    for i, K in enumerate(config_classes):
+        label[K] = i
+    # Every closed class on a configuration class visits each of its
+    # configurations. Where configuration c sends every column to one
+    # column b, each such class holds (c', b) for every successor c' of
+    # c, so there is only one, and those states are sure starts.
+    collapsing = np.zeros((C, n_held), dtype=bool)
+    collapsing[(nxt == nxt[:, :1]).all(axis=1) & (label >= 0), 0] = True
+    unsure = ~fwd(collapsing)
+
+    def pick(candidates):
+        # one candidate per configuration class, sure starts first
+        cs, js = np.nonzero(candidates)
+        order = np.lexsort((unsure[cs, js], label[cs]))
+        first = order[np.diff(label[cs[order]], prepend=-1) != 0]
+        start = np.zeros((C, n_held), dtype=bool)
+        start[cs[first], js[first]] = True
+        return start
+
+    remaining = np.repeat(label[:, None] >= 0, n_held, axis=1)
+    classes = []
+    start = pick(remaining)
+    while start.any():
+        F = closure(fwd, start, remaining)
+        B = closure(bwd, start, remaining)
+        remaining &= ~B
+        escaped = F & ~B
+        transient = np.zeros(len(config_classes), dtype=bool)
+        transient[label[np.nonzero(escaped)[0]]] = True
+        found = F & ~transient[label][:, None]
+        states = np.flatnonzero(found.T)
+        lab = label[states % C]
+        order = np.argsort(lab, kind="stable")
+        cuts = np.flatnonzero(np.diff(lab[order])) + 1
+        classes += np.split(states[order], cuts) if states.size else []
+        start = pick(escaped | (remaining & ~transient[label][:, None]))
+    classes.sort(key=lambda cls: int(cls[0]))
+    return classes
 
 
 def _policy_classes(mdp: Mdp, actions: np.ndarray, held: np.ndarray, best: np.ndarray):
@@ -348,15 +420,17 @@ def _policy_classes(mdp: Mdp, actions: np.ndarray, held: np.ndarray, best: np.nd
 
     The held route only ever changes to best_route_idx[c], so the
     held-route columns form a closed set, and its closed classes are
-    those of the induced chain restricted to it. Any other route r is
+    those of the induced chain restricted to it, found by reachability
+    on the (C, R') block (_held_closed_classes). Any other route r is
     only ever held from the start; a class there is K x {r} for a closed
     class K of the configuration chain on which the table never
     discovers.
     """
     space = mdp.space
     C, R = space.n_configs, space.n_routes
-    P = mdp.kernel.matrix
-    held_classes = closed_classes(_held_route_chain(P, actions[:, held], best))
+    held_classes = _held_closed_classes(
+        mdp.kernel.matrix, actions[:, held], best, mdp.kernel.classes
+    )
     classes = [np.sort(cls % C * R + held[cls // C]) for cls in held_classes]
     others = np.setdiff1d(np.arange(R), held)
     for K in mdp.kernel.classes:
@@ -371,8 +445,9 @@ def policy_stationary(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
 
     Requires a single closed class; otherwise raises ReducibleChainError
     naming the classes, ordered by their smallest state index (see
-    _policy_classes for how they are found). Transient states carry
-    exactly zero mass.
+    _policy_classes: a reachability search on the held-route columns,
+    which needs no induced chain). Transient states carry exactly zero
+    mass.
 
     The class lies in the held-route columns, and the configuration
     marginal of its stationary law is the occupancy law mu
@@ -453,7 +528,8 @@ class PolicyEvaluator:
 
     The induced chain depends only on the action table, never on phi,
     so one policy_stationary propagation serves every phi in a sweep;
-    the gain is a reweighted dot product per phi.
+    the gain is a reweighted dot product per phi. The cached laws are
+    read-only, so no caller can change a later gain.
     """
 
     def __init__(self, mdp: Mdp):
@@ -464,7 +540,9 @@ class PolicyEvaluator:
         actions = self.mdp.materialize_policy(actions)
         key = actions.tobytes()
         if key not in self._cache:
-            self._cache[key] = policy_stationary(self.mdp, actions)
+            pi = policy_stationary(self.mdp, actions)
+            pi.setflags(write=False)
+            self._cache[key] = pi
         return self._cache[key]
 
     def gain(self, actions: np.ndarray, phi: float | None = None) -> float:
@@ -476,4 +554,6 @@ class PolicyEvaluator:
     def discovery_frequency(self, actions: np.ndarray) -> float:
         actions = self.mdp.materialize_policy(actions)
         pi = self.stationary(actions)
-        return float(pi[actions].sum())
+        # a sum over the whole array, so that tables which differ only
+        # on states without mass sum the same terms in the same order
+        return float(np.where(actions, pi, 0.0).sum())

@@ -12,6 +12,7 @@ position, the ways its occupants can split into left/stay/right movers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -101,7 +102,10 @@ def closed_classes(G: csr_matrix) -> list[np.ndarray]:
     """Closed classes of a Markov chain: its strongly connected
     components with no edge leaving them. The stored entries of the
     CSR matrix G are the edges. Each class is a sorted array of state
-    indices, and the classes come ordered by their smallest state."""
+    indices, and the classes come ordered by their smallest state.
+    Used for the node and configuration kernels; the closed classes of
+    a policy's induced chain are found without building that chain
+    (mdp._policy_classes)."""
     n_comp, labels = csgraph.connected_components(
         G, directed=True, connection="strong"
     )
@@ -218,9 +222,11 @@ def _config_kernel_cached(
                     splits.append((a, b, c, w))
         splits_for.append(splits)
 
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    # typed buffers hold 8 bytes an entry, where lists hold a pointer
+    # and a boxed number
+    indptr = array("q", [0])
+    indices = array("q")
+    data = array("d")
     for row in rows:
         cross = 1
         for n in row:
@@ -246,10 +252,15 @@ def _config_kernel_cached(
                     key = tuple(dest)
                     nxt[key] = nxt.get(key, 0.0) + pr * w
             partial = nxt
-        indices += map(index.__getitem__, partial)
-        data += partial.values()
+        # fromlist takes a list faster than extend takes an iterator
+        indices.fromlist(list(map(index.__getitem__, partial)))
+        data.fromlist(list(partial.values()))
         indptr.append(len(indices))
-    P = csr_matrix((data, indices, indptr), shape=(C, C))
+    P = csr_matrix(
+        (np.frombuffer(data), np.frombuffer(indices, dtype=np.int64),
+         np.frombuffer(indptr, dtype=np.int64)),
+        shape=(C, C),
+    )
     # each row's destinations are distinct; order them by column and
     # drop products that underflowed to zero
     P.sort_indices()

@@ -1,4 +1,4 @@
-"""Full-width reference for exact policy evaluation.
+"""Reference chains for exact policy evaluation.
 
 Builds the whole induced chain over all C * R (configuration, held
 route) states, finds its closed classes by a strongly-connected-component
@@ -7,6 +7,11 @@ closed class by a direct dense solve. This is what the library did
 before it switched to the held-route columns and matrix-free
 propagation; it is kept here, for small chains only, to check that
 implementation against.
+
+Also builds the induced chain on the held-route columns alone
+(held_route_chain), whose strongly connected components gave the
+library's closed-class verdict before it switched to a reachability
+search on the (C, R') block (held_closed_classes).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 from manet1d import ReducibleChainError
+from manet1d.mobility import closed_classes
 
 
 def induced_chain(mdp, actions: np.ndarray) -> csr_matrix:
@@ -103,3 +109,33 @@ def lazy_spectral_gap(mdp, actions: np.ndarray) -> float:
     (cls,) = closed_classes_sparse(P)
     lam = np.linalg.eigvals(0.5 * (np.eye(len(cls)) + P[cls][:, cls].toarray()))
     return 1.0 - np.sort(np.abs(lam))[-2] if len(cls) > 1 else 1.0
+
+
+def held_route_chain(P: csr_matrix, disc: np.ndarray, best: np.ndarray) -> csr_matrix:
+    """Pattern of the induced chain on the held-route columns: every
+    stored entry is 1.0, one per transition.
+
+    disc is the (C, R') discover table on those columns and best each
+    configuration's best route as a column. State j * C + c moves to
+    (next column) * C + c' for every successor c' of c, so the rows of
+    column j are P's pattern with shifted column indices.
+    """
+    C, n_held = disc.shape
+    n = C * n_held
+    nxt = np.where(disc, best[:, None], np.arange(n_held)[None, :])
+    deg = np.diff(P.indptr)
+    src = np.repeat(np.arange(C), deg)
+    indices = (nxt[src].T * C + P.indices).ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.tile(deg, n_held))])
+    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+
+
+def held_closed_classes(mdp, actions: np.ndarray) -> list[np.ndarray]:
+    """Closed classes of the chain a policy induces on the held-route
+    columns, numbered j * C + c as mdp._policy_classes numbers them,
+    found by a component pass over the built held-route chain."""
+    space = mdp.space
+    held = np.unique(space.best_route_idx)
+    best = np.searchsorted(held, space.best_route_idx)
+    disc = np.asarray(actions, dtype=bool)[:, held]
+    return closed_classes(held_route_chain(mdp.kernel.matrix, disc, best))

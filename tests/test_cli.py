@@ -231,6 +231,24 @@ class TestEval:
         assert err.startswith("error:")
         assert "unknown policy spec" in err
 
+    def test_policy_evaluation_does_not_build_the_held_route_chain(self, tmp_path):
+        # the induced chain on the 9 held-route columns would have
+        # 601,744 x 9 = 5.4 M edges and take the peak to about 190 MiB;
+        # the closed-class search and the propagation need only (C, R')
+        # blocks beside the configuration kernel
+        path = write_config(
+            tmp_path, "K=6\nN=9\np_l=0.3\np_r=0.3\nboundary=stuck\nphi=0.5\n"
+        )
+        done, peak_kib = run_capped_cli("eval", path, "--policy", "optimal")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (
+            "K=6 N=9 m=2 rates=1,0.5 p_l=0.3 p_r=0.3 boundary=stuck phi=0.5\n"
+            "policy = optimal\n"
+            "exact gain = 0.1358937735\n"
+            "discovery frequency = 0.3699766839\n"
+        )
+        assert peak_kib < 150 * 1024
+
 
 class TestSimulateCommand:
     def test_run_and_determinism(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from manet1d import (
     threshold_policy,
 )
 from manet1d.errors import ConvergenceError
-from manet1d.mdp import PROPAGATION_MAX_ITER
+from manet1d.mdp import PROPAGATION_MAX_ITER, _held_routes, _policy_classes
 from manet1d.mobility import config_stationary_law
 from manet1d.policies import always_discover, never_discover
 
@@ -328,16 +328,43 @@ class TestPolicyEvaluator:
             sol33.gain, abs=1e-6
         )
 
+    def test_cached_stationary_law_is_read_only(self, mdp33):
+        evaluator = PolicyEvaluator(mdp33)
+        actions = route_break_policy(mdp33)
+        pi = evaluator.stationary(actions)
+        gain = evaluator.gain(actions)
+        with pytest.raises(ValueError):
+            pi[0, 0] = 1.0
+        assert evaluator.gain(actions) == gain
+
+    def test_frequency_depends_only_on_the_induced_chain(self):
+        # the full-width and held-only optimal tables differ only on
+        # routes no run holds, so they induce the same chain and must
+        # report the same frequency to the last bit
+        mdp = build_mdp(
+            NetworkParams(K=6, N=9, p_l=0.3, p_r=0.3, boundary=Boundary.STUCK, phi=0.5)
+        )
+        full = solve_avg_reward(mdp).action
+        held = solve_avg_reward(mdp, held_only=True).action
+        assert not np.array_equal(full, held)
+        evaluator = PolicyEvaluator(mdp)
+        freq = evaluator.discovery_frequency(full)
+        assert evaluator.discovery_frequency(held) == freq
+        assert freq == 0.36997668389882643
+
+
+TABLES = ("random", "always", "never", "route-break", "optimal")
+
 
 @st.composite
-def chain_cases(draw):
+def chain_cases(draw, min_n=1, tables=TABLES):
     """Small parameter sets over every mobility regime (stuck and wrap
     walks, p_t = 0, one-way walks, frozen nodes) with a table. Moving
     probabilities stay at least 0.1 away from 0 and p_t from 0 unless it
     is exactly 0: a walk that is nearly frozen or nearly periodic mixes
     so slowly that no method resolves pi to 1e-12."""
     K = draw(st.integers(min_value=1, max_value=4))
-    N = draw(st.integers(min_value=1, max_value=4))
+    N = draw(st.integers(min_value=min_n, max_value=4))
     boundary = draw(st.sampled_from([Boundary.STUCK, Boundary.WRAP]))
     regime = draw(st.sampled_from(["walk", "no_stay", "one_way", "frozen"]))
     prob = st.floats(min_value=0.1, max_value=0.45)
@@ -353,7 +380,7 @@ def chain_cases(draw):
         p_l = p_r = 0.0
     phi = draw(st.floats(min_value=0.0, max_value=1.0))
     params = NetworkParams(K=K, N=N, p_l=p_l, p_r=p_r, boundary=boundary, phi=phi)
-    table = draw(st.sampled_from(["random", "always", "never", "route-break", "optimal"]))
+    table = draw(st.sampled_from(tables))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return params, table, seed
 
@@ -365,6 +392,9 @@ def _table(mdp, kind, seed):
         return never_discover(mdp)
     if kind == "route-break":
         return route_break_policy(mdp)
+    if kind == "threshold":
+        rates = np.unique(mdp.space.route_f)
+        return threshold_policy(mdp, np.random.default_rng(seed).choice(rates))
     if kind == "optimal":
         try:
             return solve_avg_reward(mdp).action
@@ -455,6 +485,23 @@ def test_held_only_solve_matches_full_width(case):
             assert np.isin(np.flatnonzero(pi), inside[0]).all()
         return
     assert evaluator.gain(held.action) == want
+
+
+@given(case=chain_cases(min_n=0, tables=TABLES + ("threshold",)))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_policy_classes_match_held_route_chain_oracle(case):
+    # the reachability search must return the components of the built
+    # held-route chain, and with the K x {r} classes of the other routes
+    # those of the full chain: the same arrays in the same order
+    params, kind, seed = case
+    mdp = build_mdp(params)
+    actions = _table(mdp, kind, seed)
+    held, best = _held_routes(mdp.space)
+    classes, held_classes = _policy_classes(mdp, actions, held, best)
+    want = chain_oracle.held_closed_classes(mdp, actions)
+    assert [cls.tolist() for cls in held_classes] == [cls.tolist() for cls in want]
+    want = sorted(cls.tolist() for cls in chain_oracle.policy_classes(mdp, actions))
+    assert [cls.tolist() for cls in classes] == want
 
 
 def test_reducible_chain_messages_name_example_states():
